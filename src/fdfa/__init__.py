@@ -11,7 +11,6 @@ machine pairs realizing any chosen finite difference.
 from .classes import (
     StateClassPartition,
     class_matching,
-    clear_memo,
     cross_finitely_different,
     dfas_finitely_different,
     signature_equal,
@@ -63,6 +62,7 @@ from .language import (
     DiffResult,
     InfiniteLanguageError,
     Lasso,
+    classify_difference,
     classify_language,
     enumerate_finite_language,
     languages_equal,
@@ -95,8 +95,8 @@ __all__ = [
     "StateClassPartition",
     "TrimWarning",
     "class_matching",
+    "classify_difference",
     "classify_language",
-    "clear_memo",
     "compute_parts",
     "compute_parts_by_counting",
     "construct_pair",

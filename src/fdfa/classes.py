@@ -9,11 +9,18 @@ by a machine is its signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import AlphabetMismatchError, Dfa, induce, product_xor
+from .core import (
+    AlphabetMismatchError,
+    Dfa,
+    disjoint_union,
+    induce,
+    product_xor,
+    states_on_cycles,
+    states_reaching,
+)
 from .language import DiffResult, symmetric_difference
-from .minimize import minimize
+from .minimize import minimize, moore_blocks
 from .parts import compute_parts
 
 
@@ -31,37 +38,65 @@ class StateClassPartition:
         raise KeyError(class_id)
 
 
-@lru_cache(maxsize=None)
-def _induced_diff(a: Dfa, pa: int, b: Dfa, pb: int) -> DiffResult:
-    # one shared memo serves same-machine and cross-machine queries alike
-    return symmetric_difference(induce(a, pa), induce(b, pb))
+def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
+    """The ~ class of every state of a raw transition table, as its smallest member.
 
-
-def clear_memo() -> None:
-    """Drop all cached ~ verdicts (frees the machines they keep alive)."""
-    _induced_diff.cache_clear()
+    Decides every pair at once on the pair graph of the b Moore blocks
+    (Badr, Geffert & Shipman, RAIRO-ITA 2009): its nodes are the ordered pairs
+    (x, y) of distinct blocks, and each symbol leads to (δx, δy) unless both
+    successors share a block.  Every node has a non-empty difference, so the
+    difference from (x, y) is infinite exactly when a cycle is reachable from
+    it.  O(k·b²) time for k symbols.
+    """
+    part = moore_blocks(delta, accepting)
+    block_of, b = part.block_of, part.n_blocks
+    succ: list[list[int] | None] = [None] * b
+    for q, x in enumerate(block_of):
+        if succ[x] is None:
+            succ[x] = [block_of[t] for t in delta[q]]
+    rows = []
+    for x in range(b):
+        for y in range(b):
+            # node x*b + y; diagonal nodes stay isolated
+            rows.append(() if x == y else
+                        tuple(u * b + v for u, v in zip(succ[x], succ[y]) if u != v))
+    infinite = states_reaching(rows, states_on_cycles(rows))
+    # ~ is an equivalence: each block joins the first earlier class it is ~ to
+    leader = list(range(b))
+    for x in range(b):
+        for y in range(x):
+            if leader[y] == y and x * b + y not in infinite:
+                leader[x] = y
+                break
+    smallest: dict[int, int] = {}
+    for q, x in enumerate(block_of):
+        smallest.setdefault(leader[x], q)
+    return tuple(smallest[leader[x]] for x in block_of)
 
 
 def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, DiffResult]:
-    """Decide p ~ q inside one machine; the DiffResult carries words or a lasso."""
+    """Decide p ~ q inside one machine; the DiffResult carries words or a lasso.
+
+    This is the witness API: it builds the product of the two induced machines
+    and lists the whole difference.  For verdicts alone use
+    :func:`state_class_partition`.
+    """
     for s in (p, q):
         if s not in d.states:
             raise ValueError(f"state {s} out of range")
-    if p > q:
-        p, q = q, p
-    diff = _induced_diff(d, p, d, q)
+    diff = symmetric_difference(induce(d, p), induce(d, q))
     return diff.finite, diff
 
 
 def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, DiffResult]:
-    """Decide p ~ q for states of two different machines over one alphabet."""
+    """Decide p ~ q for states of two different machines over one alphabet (witness API)."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
     if p not in a.states:
         raise ValueError(f"state {p} out of range")
     if q not in b.states:
         raise ValueError(f"state {q} out of range")
-    diff = _induced_diff(a, p, b, q)
+    diff = symmetric_difference(induce(a, p), induce(b, q))
     return diff.finite, diff
 
 
@@ -85,74 +120,28 @@ def states_finitely_different_by_shape(d: Dfa, p: int, q: int) -> bool:
     return finite_language_by_minimization(prod.dfa)
 
 
-def state_class_partition(d: Dfa, *, check_all_pairs: bool = False) -> StateClassPartition:
-    """Group the states of ``d`` into ~ classes.
-
-    Transitivity lets most pairs be skipped once their classes are united; with
-    ``check_all_pairs=True`` every pair is tested and cross-checked against the
-    union-find closure (an inconsistency would be an implementation bug).
-    """
-    n = d.n_states
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    verdicts: dict[tuple[int, int], bool] = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            if not check_all_pairs and find(p) == find(q):
-                continue
-            same, _ = states_finitely_different(d, p, q)
-            if check_all_pairs:
-                verdicts[(p, q)] = same
-            if same:
-                parent[find(q)] = find(p)
-    if check_all_pairs:
-        for (p, q), same in verdicts.items():
-            if same != (find(p) == find(q)):
-                raise AssertionError(
-                    f"finite difference is not transitive over states {p}, {q}; this is a bug"
-                )
-    smallest: dict[int, int] = {}
-    for q in range(n):
-        root = find(q)
-        if root not in smallest or q < smallest[root]:
-            smallest[root] = q
-    class_of = tuple(smallest[find(q)] for q in range(n))
+def state_class_partition(d: Dfa) -> StateClassPartition:
+    """Group the states of ``d`` into ~ classes."""
+    class_of = finite_difference_classes(d.delta, d.accepting)
     grouped: dict[int, list[int]] = {}
-    for q in range(n):
-        grouped.setdefault(class_of[q], []).append(q)
+    for q, cid in enumerate(class_of):
+        grouped.setdefault(cid, []).append(q)
     classes = tuple(tuple(grouped[cid]) for cid in sorted(grouped))
     return StateClassPartition(class_of, classes)
 
 
 def class_matching(a: Dfa, b: Dfa) -> dict[int, int] | None:
     """Bijection a-class-id -> b-class-id induced by ~ across machines, or None."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
-    pa = state_class_partition(a)
-    pb = state_class_partition(b)
-    if len(pa.classes) != len(pb.classes):
+    class_of = finite_difference_classes(*disjoint_union(a, b))
+    n = a.n_states
+    # in the union, a class holding a state of a is named by its smallest a-state
+    a_ids = set(class_of[:n])
+    b_id: dict[int, int] = {}
+    for q in b.states:
+        b_id.setdefault(class_of[n + q], q)
+    if a_ids != b_id.keys():
         return None
-    out: dict[int, int] = {}
-    for cls_a in pa.classes:
-        rep_a = cls_a[0]
-        partner = None
-        for cls_b in pb.classes:
-            same, _ = cross_finitely_different(a, rep_a, b, cls_b[0])
-            if same:
-                partner = cls_b[0]
-                break
-        if partner is None:
-            return None
-        out[cls_a[0]] = partner
-    if len(set(out.values())) != len(pb.classes):
-        return None
-    return out
+    return {cid: b_id[cid] for cid in sorted(a_ids)}
 
 
 def signature_equal(a: Dfa, b: Dfa) -> bool:
@@ -161,6 +150,10 @@ def signature_equal(a: Dfa, b: Dfa) -> bool:
 
 
 def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, DiffResult]:
-    """Machine-level ~: do L(a) and L(b) differ on only finitely many words?"""
+    """Machine-level ~: do L(a) and L(b) differ on only finitely many words?
+
+    The DiffResult lists every word of a finite difference; for the verdict
+    alone, :func:`fdfa.language.classify_difference` lists none.
+    """
     diff = symmetric_difference(a, b)
     return diff.finite, diff

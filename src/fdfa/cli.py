@@ -26,7 +26,7 @@ from .formats import (
     serialize_dfa,
 )
 from .iso import finite_part_iso, infinite_part_iso
-from .language import INFINITE
+from .language import INFINITE, classify_difference
 from .minimize import minimize
 from .oracle import oracle_diff
 from .parts import compute_parts
@@ -137,7 +137,7 @@ def _cmd_diff(args) -> int:
 def _cmd_findiff(args) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    verdict, _ = dfas_finitely_different(a, b)
+    verdict = classify_difference(a, b).kind != INFINITE
     print("finitely-different" if verdict else "not-finitely-different")
     return 0 if verdict else 1
 

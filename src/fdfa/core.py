@@ -288,6 +288,19 @@ def product_xor(a: Dfa, b: Dfa) -> ProductDfa:
     return ProductDfa(dfa, tuple(pairs))
 
 
+def disjoint_union(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
+    """Raw transition table and accepting set of a and b side by side.
+
+    States of ``a`` keep their ids; state q of ``b`` becomes ``a.n_states + q``.
+    The table has no start state, so it is not a :class:`Dfa`.
+    """
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
+    off = a.n_states
+    delta = a.delta + tuple(tuple(off + t for t in row) for row in b.delta)
+    return delta, a.accepting | {off + q for q in b.accepting}
+
+
 def _lex_symbol_order(d: Dfa) -> tuple[tuple[int, str], ...]:
     # symbol positions in character order, so breadth-first searches yield shortlex words
     return tuple(sorted(((i, s) for i, s in enumerate(d.alphabet)), key=lambda t: t[1]))

@@ -50,8 +50,8 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
         raise FMergeError(f"cannot merge state {p} with itself")
     if p not in compute_parts(d).finite:
         raise FMergeError(f"state {p} is in the infinite part")
-    same, _ = states_finitely_different(d, p, q)
-    if not same:
+    class_of = state_class_partition(d).class_of
+    if class_of[p] != class_of[q]:
         raise FMergeError(f"states {p} and {q} are not finitely different")
     return _merge(d, p, q)
 
@@ -196,8 +196,8 @@ def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: i
         raise FMergeError(f"transition ({source}, {symbol!r}) does not enter the infinite part")
     if new_target not in parts.infinite:
         raise FMergeError(f"new target {new_target} is not in the infinite part")
-    same, _ = states_finitely_different(d, old, new_target)
-    if not same:
+    class_of = state_class_partition(d).class_of
+    if class_of[old] != class_of[new_target]:
         raise FMergeError(
             f"new target {new_target} is not finitely different from old target {old}"
         )

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, induce, reachable_states, shortest_cycle_word, shortest_word_to, states_on_cycles
-from .classes import cross_finitely_different, dfas_finitely_different
+from .core import (
+    Dfa,
+    Word,
+    disjoint_union,
+    reachable_states,
+    shortest_cycle_word,
+    shortest_word_to,
+    states_on_cycles,
+)
+from .classes import finite_difference_classes
 from .fmin import is_f_minimal
-from .language import languages_equal
-from .minimize import is_minimized
+from .language import INFINITE, classify_difference
+from .minimize import is_minimized, moore_blocks
 from .parts import compute_parts
 
 INFINITE_PART = "infinite"
@@ -93,17 +101,17 @@ def infinite_part_iso(a: Dfa, b: Dfa) -> StateBijection | None:
     _require_minimized(a, "left")
     _require_minimized(b, "right")
     inf_a = sorted(compute_parts(a).infinite)
-    inf_b = sorted(compute_parts(b).infinite)
+    inf_b = compute_parts(b).infinite
     if len(inf_a) != len(inf_b):
         return None
+    # one Moore partition of both machines: equal languages share a block, and
+    # a minimized b has at most one state per block
+    block_of = moore_blocks(*disjoint_union(a, b)).block_of
+    n = a.n_states
+    partner_in_block = {block_of[n + r]: r for r in inf_b}
     mapping = []
     for q in inf_a:
-        dq = induce(a, q)
-        partner = None
-        for r in inf_b:
-            if languages_equal(dq, induce(b, r)):
-                partner = r
-                break
+        partner = partner_in_block.get(block_of[q])
         if partner is None:
             return None
         mapping.append((q, partner))
@@ -124,8 +132,7 @@ def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, Representa
     """
     _require_minimized(a, "left")
     _require_minimized(b, "right")
-    same, _ = dfas_finitely_different(a, b)
-    if not same:
+    if classify_difference(a, b).kind == INFINITE:
         raise ValueError("automata are not finitely different")
     threshold = a.n_states * b.n_states
     inf_a = sorted(compute_parts(a).infinite)
@@ -169,16 +176,17 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     ok_b, _ = is_f_minimal(b)
     if not ok_b:
         raise ValueError("right automaton is not f-minimal")
-    same, _ = dfas_finitely_different(a, b)
-    if not same:
+    if classify_difference(a, b).kind == INFINITE:
         raise ValueError("automata are not finitely different")
     fin_a = sorted(compute_parts(a).finite)
     fin_b = sorted(compute_parts(b).finite)
     if len(fin_a) != len(fin_b):
         raise AssertionError("finite parts have different sizes; this is a bug")
+    class_of = finite_difference_classes(*disjoint_union(a, b))
+    n = a.n_states
     mapping = []
     for p in fin_a:
-        partners = [r for r in fin_b if cross_finitely_different(a, p, b, r)[0]]
+        partners = [r for r in fin_b if class_of[n + r] == class_of[p]]
         if len(partners) != 1:
             raise AssertionError(
                 f"state {p} has {len(partners)} class partners, expected exactly one; this is a bug"

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    AlphabetMismatchError,
     Dfa,
     Word,
     product_xor,
@@ -118,10 +117,17 @@ def enumerate_finite_language(d: Dfa) -> list[Word]:
     return out
 
 
+def classify_difference(a: Dfa, b: Dfa) -> Classification:
+    """Whether L(a) xor L(b) is empty, finite or infinite, without listing a word.
+
+    Takes time polynomial in the product size even when the difference holds
+    exponentially many words; an infinite verdict carries its lasso.
+    """
+    return classify_language(product_xor(a, b).dfa)
+
+
 def symmetric_difference(a: Dfa, b: Dfa) -> DiffResult:
     """L(a) xor L(b): the full shortlex word list when finite, else a lasso witness."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
     prod = product_xor(a, b).dfa
     cls = classify_language(prod)
     if cls.kind == INFINITE:
@@ -132,6 +138,4 @@ def symmetric_difference(a: Dfa, b: Dfa) -> DiffResult:
 
 def languages_equal(a: Dfa, b: Dfa) -> bool:
     """Exact language equality, decided by emptiness of the xor product."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
-    return classify_language(product_xor(a, b).dfa).kind == EMPTY
+    return classify_difference(a, b).kind == EMPTY

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Dfa, Word
 
@@ -18,15 +17,23 @@ class StatePartition:
 
 
 def moore_partition(d: Dfa) -> StatePartition:
-    """Refine {accepting, rejecting} by successor blocks until stable."""
-    n = d.n_states
+    """Language-equivalence blocks of the states of ``d``."""
+    return moore_blocks(d.delta, d.accepting)
+
+
+def moore_blocks(delta, accepting) -> StatePartition:
+    """Refine {accepting, rejecting} by successor blocks until stable.
+
+    Works on a raw transition table (rows of successor ids), which need not be
+    a valid :class:`Dfa`: states unreachable from any start are fine.
+    """
+    n = len(delta)
     labels: dict[bool, int] = {}
     block = [0] * n
     for q in range(n):
-        key = q in d.accepting
+        key = q in accepting
         block[q] = labels.setdefault(key, len(labels))
     count = len(labels)
-    delta = d.delta
     while True:
         sigs: dict[tuple[int, ...], int] = {}
         new = [0] * n
@@ -88,8 +95,7 @@ def is_minimized(d: Dfa) -> bool:
     return minimize(d).n_states == d.n_states
 
 
-@lru_cache(maxsize=None)
-def _pair_distances(d: Dfa) -> tuple[int, ...]:
+def _pair_distances(d: Dfa) -> list[int]:
     # dist[p*n+q] = length of the shortest word accepted from exactly one of p, q (-1: none)
     n = d.n_states
     k = len(d.alphabet)
@@ -115,7 +121,7 @@ def _pair_distances(d: Dfa) -> tuple[int, ...]:
                     if dist[px * n + py] == -1:
                         dist[px * n + py] = step
                         queue.append((px, py))
-    return tuple(dist)
+    return dist
 
 
 def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:

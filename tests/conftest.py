@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from fdfa.core import trim
+from fdfa.core import Dfa, trim
 from fdfa.oracle import enumerate_all_dfas
 
 
@@ -28,3 +28,10 @@ def dfas(draw, max_states=4, alphabet="01"):
     accepting = frozenset(q for q in range(n) if draw(st.booleans()))
     d, _ = trim(alphabet, start, accepting, delta, None)
     return d
+
+
+def sigma_upto(m, alphabet="01"):
+    """Minimal chain accepting every word of length at most m (m + 2 states)."""
+    sink = m + 1
+    delta = tuple((min(q + 1, sink),) * len(alphabet) for q in range(m + 2))
+    return Dfa(alphabet, 0, frozenset(range(m + 1)), delta)

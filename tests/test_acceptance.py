@@ -14,7 +14,6 @@ import pytest
 
 from fdfa import fixtures
 from fdfa.classes import (
-    clear_memo,
     dfas_finitely_different,
     signature_equal,
     states_finitely_different,
@@ -110,7 +109,6 @@ def test_criterion_3_f_minimization_correct(suite3):
             assert is_f_minimal(out)[0], (d, out)
             assert oracle_is_f_minimal(out), (d, out)
             assert is_f_minimal(d)[0] == oracle_is_f_minimal(d), d
-    clear_memo()
 
 
 def test_criterion_4_order_independence(suite3):
@@ -121,7 +119,6 @@ def test_criterion_4_order_independence(suite3):
             assert a.n_states == b.n_states, d
             assert infinite_part_iso(a, b) is not None, d
             finite_part_iso(a, b)  # raises if the finite parts cannot be matched
-    clear_memo()
 
 
 def test_criterion_5_merge_diff_bound(suite3):
@@ -137,7 +134,6 @@ def test_criterion_5_merge_diff_bound(suite3):
                 assert len(realized) <= r.bound, (d, r)
                 merges_audited += 1
         assert merges_audited > 500
-    clear_memo()
 
 
 def test_criterion_6_construction():
@@ -169,7 +165,6 @@ def test_criterion_7_part_definitions_agree(suite3):
             for p, q in combinations(range(d.n_states), 2):
                 direct = states_finitely_different(d, p, q)[0]
                 assert direct == states_finitely_different_by_shape(d, p, q), (d, p, q)
-    clear_memo()
 
 
 def test_criterion_8_non_uniqueness():
@@ -217,7 +212,6 @@ def test_criterion_8_non_uniqueness():
                                 redirect_boundary_transition(m, src, sym, new)
                             illegal += 1
         assert flips >= 100 and legal > 0 and illegal > 0
-    clear_memo()
 
 
 def test_criterion_9_round_trip_and_determinism(tmp_path):

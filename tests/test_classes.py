@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,9 +14,81 @@ from fdfa.classes import (
     states_finitely_different,
     states_finitely_different_by_shape,
 )
-from fdfa.core import AlphabetMismatchError, Dfa
+from fdfa.core import AlphabetMismatchError, Dfa, induce
+from fdfa.iso import infinite_part_iso
+from fdfa.language import languages_equal, symmetric_difference
+from fdfa.minimize import minimize
+from fdfa.parts import compute_parts
+from fdfa.rand import random_dfa
 
-from conftest import dfas
+from conftest import dfas, sigma_upto
+
+
+# The per-pair procedures below are the reference the pair-graph engine is
+# checked against: one product of induced machines for every pair of states.
+
+
+def pair_verdicts(d):
+    return {
+        (p, q): symmetric_difference(induce(d, p), induce(d, q)).finite
+        for p, q in combinations(d.states, 2)
+    }
+
+
+def assert_classes_match_pair_verdicts(d):
+    class_of = state_class_partition(d).class_of
+    for (p, q), finite in pair_verdicts(d).items():
+        assert (class_of[p] == class_of[q]) == finite, (d, p, q)
+
+
+def pairwise_class_of(d):
+    """~ class id (smallest member) of every state, from one verdict per pair."""
+    class_of = list(d.states)
+    for (p, q), finite in pair_verdicts(d).items():
+        if finite:
+            class_of[q] = min(class_of[q], p)
+    return tuple(class_of)
+
+
+def class_matching_by_pairs(a, b):
+    ids_a = sorted(set(pairwise_class_of(a)))
+    ids_b = sorted(set(pairwise_class_of(b)))
+    if len(ids_a) != len(ids_b):
+        return None
+    out = {}
+    for p in ids_a:
+        partners = [q for q in ids_b if cross_finitely_different(a, p, b, q)[0]]
+        if not partners:
+            return None
+        out[p] = partners[0]
+    if len(set(out.values())) != len(ids_b):
+        return None
+    return out
+
+
+def infinite_part_iso_by_pairs(a, b):
+    inf_a = sorted(compute_parts(a).infinite)
+    inf_b = sorted(compute_parts(b).infinite)
+    if len(inf_a) != len(inf_b):
+        return None
+    mapping = []
+    for q in inf_a:
+        partners = [r for r in inf_b if languages_equal(induce(a, q), induce(b, r))]
+        if not partners:
+            return None
+        mapping.append((q, partners[0]))
+    if len({r for _, r in mapping}) != len(inf_b):
+        return None
+    return tuple(mapping)
+
+
+def minimized_random_pairs(count, seed):
+    pairs = []
+    for i in range(count):
+        a = minimize(random_dfa(i % 6 + 1, "01", seed + 2 * i))
+        b = minimize(random_dfa(i * 5 % 6 + 1, "01", seed + 2 * i + 1))
+        pairs += [(a, b), (a, a)]
+    return pairs
 
 
 def test_states_of_a_finite_language_machine_form_one_class():
@@ -88,14 +162,50 @@ def test_dfas_finitely_different():
     assert not diff.finite
 
 
-@given(dfas(max_states=4))
-@settings(max_examples=40)
+@given(dfas(max_states=6))
+@settings(max_examples=60)
 def test_partition_is_transitive_and_id_is_smallest_member(d):
-    part = state_class_partition(d, check_all_pairs=True)
+    assert_classes_match_pair_verdicts(d)
+    part = state_class_partition(d)
     for cls in part.classes:
         assert cls[0] == min(cls)
         for member in cls:
             assert part.class_of[member] == cls[0]
+
+
+def test_partition_matches_per_pair_verdicts_on_every_small_machine(suite3):
+    for d in suite3:
+        assert_classes_match_pair_verdicts(d)
+
+
+def test_partition_of_a_long_finite_chain_is_one_class():
+    chain = sigma_upto(40)
+    assert state_class_partition(chain).classes == (tuple(chain.states),)
+
+
+def test_class_matching_agrees_with_per_pair_verdicts():
+    matched = unmatched = 0
+    for a, b in minimized_random_pairs(60, 70000):
+        expected = class_matching_by_pairs(a, b)
+        assert class_matching(a, b) == expected, (a, b)
+        if expected is None:
+            unmatched += 1
+        else:
+            matched += 1
+    assert matched > 60 and unmatched > 10
+
+
+def test_infinite_part_iso_agrees_with_per_pair_equality():
+    found = missing = 0
+    for a, b in minimized_random_pairs(60, 80000):
+        bij = infinite_part_iso(a, b)
+        expected = infinite_part_iso_by_pairs(a, b)
+        assert (bij.mapping if bij is not None else None) == expected, (a, b)
+        if expected is None:
+            missing += 1
+        else:
+            found += 1
+    assert found > 60 and missing > 10
 
 
 @given(dfas(max_states=4), dfas(max_states=4))

@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from fdfa.formats import serialize_dfa
+
+from conftest import sigma_upto
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -211,3 +215,10 @@ def test_stdout_is_byte_stable_across_runs(args):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+def test_findiff_gives_a_verdict_without_listing_words(tmp_path):
+    chain = tmp_path / "chain.dfa"
+    chain.write_text(serialize_dfa(sigma_upto(30)))
+    r = run_cli("findiff", str(chain), fix("empty"))
+    assert (r.returncode, r.stdout) == (0, "finitely-different\n")

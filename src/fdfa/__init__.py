@@ -16,7 +16,6 @@ from .classes import (
     signature_equal,
     state_class_partition,
     states_finitely_different,
-    states_finitely_different_by_shape,
 )
 from .construct import ConstructionSpec, construct_pair
 from .core import (
@@ -47,11 +46,9 @@ from .formats import (
     serialize_word_list,
 )
 from .iso import (
-    RepresentativeAssignment,
     StateBijection,
     finite_part_iso,
     infinite_part_iso,
-    iso_from_representatives,
     verify_bijection,
 )
 from .language import (
@@ -69,7 +66,7 @@ from .language import (
     symmetric_difference,
 )
 from .minimize import distinguishing_word, is_minimized, minimize, minimize_with_map
-from .parts import PartsPartition, compute_parts, compute_parts_by_counting, words_reaching
+from .parts import PartsPartition, compute_parts, words_reaching
 from .rand import random_dfa
 
 __version__ = "0.1.0"
@@ -90,7 +87,6 @@ __all__ = [
     "MergeRecord",
     "PartsPartition",
     "ProductDfa",
-    "RepresentativeAssignment",
     "StateBijection",
     "StateClassPartition",
     "TrimWarning",
@@ -98,7 +94,6 @@ __all__ = [
     "classify_difference",
     "classify_language",
     "compute_parts",
-    "compute_parts_by_counting",
     "construct_pair",
     "cross_finitely_different",
     "dfas_finitely_different",
@@ -112,7 +107,6 @@ __all__ = [
     "infinite_part_iso",
     "is_f_minimal",
     "is_minimized",
-    "iso_from_representatives",
     "languages_equal",
     "minimize",
     "minimize_with_map",
@@ -129,7 +123,6 @@ __all__ = [
     "signature_equal",
     "state_class_partition",
     "states_finitely_different",
-    "states_finitely_different_by_shape",
     "symmetric_difference",
     "verify_bijection",
     "words_reaching",

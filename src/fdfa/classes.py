@@ -15,13 +15,11 @@ from .core import (
     Dfa,
     disjoint_union,
     induce,
-    product_xor,
     states_on_cycles,
     states_reaching,
 )
 from .language import DiffResult, symmetric_difference
-from .minimize import minimize, moore_blocks
-from .parts import compute_parts
+from .minimize import moore_blocks
 
 
 @dataclass(frozen=True)
@@ -98,26 +96,6 @@ def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, Diff
         raise ValueError(f"state {q} out of range")
     diff = symmetric_difference(induce(a, p), induce(b, q))
     return diff.finite, diff
-
-
-def finite_language_by_minimization(d: Dfa) -> bool:
-    """Finiteness decided structurally: minimize, then ask whether the infinite
-    part is exactly one non-accepting state looping to itself."""
-    m = minimize(d)
-    inf = compute_parts(m).infinite
-    if len(inf) != 1:
-        return False
-    (sink,) = inf
-    return sink not in m.accepting and all(t == sink for t in m.delta[sink])
-
-
-def states_finitely_different_by_shape(d: Dfa, p: int, q: int) -> bool:
-    """The same verdict as :func:`states_finitely_different`, via the structural test."""
-    for s in (p, q):
-        if s not in d.states:
-            raise ValueError(f"state {s} out of range")
-    prod = product_xor(induce(d, p), induce(d, q))
-    return finite_language_by_minimization(prod.dfa)
 
 
 def state_class_partition(d: Dfa) -> StateClassPartition:

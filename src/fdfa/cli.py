@@ -28,7 +28,6 @@ from .formats import (
 from .iso import finite_part_iso, infinite_part_iso
 from .language import INFINITE, classify_difference
 from .minimize import minimize
-from .oracle import oracle_diff
 from .parts import compute_parts
 from .rand import random_dfa
 
@@ -124,13 +123,12 @@ def _cmd_diff(args) -> int:
         for w in diff.words:
             print(format_word(w))
         return 0
-    if diff.kind == INFINITE:
-        lasso = diff.witness
-        print("infinite")
-        print(
-            f"witness {format_word(lasso.prefix)} "
-            f"{format_word(lasso.pump)} {format_word(lasso.suffix)}"
-        )
+    lasso = diff.witness
+    print("infinite")
+    print(
+        f"witness {format_word(lasso.prefix)} "
+        f"{format_word(lasso.pump)} {format_word(lasso.suffix)}"
+    )
     return 1
 
 
@@ -176,16 +174,6 @@ def _cmd_random(args) -> int:
         raise CliError("--states must be at least 1")
     d = random_dfa(args.states, args.alphabet, args.seed)
     _write_dfa(d, args.output)
-    return 0
-
-
-def _cmd_oracle_diff(args) -> int:
-    a = _load(args.left)
-    b = _load(args.right)
-    words = oracle_diff(a, b, args.bound)
-    print(f"count {len(words)}")
-    for w in words:
-        print(format_word(w))
     return 0
 
 
@@ -252,12 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("oracle-diff")  # test plumbing; hidden from the listing above
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_oracle_diff)
 
     return parser
 

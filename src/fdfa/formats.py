@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Dfa, Word, check_alphabet, reachable_states, trim
+from .core import Dfa, Word, check_alphabet
 
 EPSILON_TOKEN = "@"
 
@@ -132,30 +132,37 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
             raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
         table[(src, ci)] = dst
 
-    missing = [(q, ci) for q in range(n) for ci in range(k) if (q, ci) not in table]
+    # every check below costs what the input holds, never what ``states`` declares
+    missing = n * k - len(table)
+    sink = n
     if missing:
-        if complete:
-            sink = n
-            n += 1
-            for q, ci in missing:
-                table[(q, ci)] = sink
-            for ci in range(k):
-                table[(sink, ci)] = sink
-        else:
-            q, ci = missing[0]
+        if not complete:
+            q, ci = next((q, ci) for q in range(n) for ci in range(k) if (q, ci) not in table)
             raise DfaFormatError(
                 f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
-                f" ({len(missing)} missing in total)"
+                f" ({missing} missing in total)"
             )
+        n += 1
+        for ci in range(k):
+            table[(sink, ci)] = sink
 
-    delta = tuple(tuple(table[(q, ci)] for ci in range(k)) for q in range(n))
-    reachable = reachable_states(delta, start)
-    if len(reachable) < n:
-        dropped = n - len(reachable)
+    # rows exist only for states reachable from the start; missing transitions go to the sink
+    rows = {start: tuple(table.get((start, ci), sink) for ci in range(k))}
+    queue = [start]
+    for q in queue:
+        for t in rows[q]:
+            if t not in rows:
+                rows[t] = tuple(table.get((t, ci), sink) for ci in range(k))
+                queue.append(t)
+    if len(rows) < n:
+        dropped = n - len(rows)
         plural = "" if dropped == 1 else "s"
         warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
-    dfa, _ = trim(alphabet, start, accepting, delta)
-    return dfa
+    # reindex densely, keeping id order among the survivors as :func:`trim` does
+    keep = sorted(rows)
+    new_id = {old: new for new, old in enumerate(keep)}
+    delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
+    return Dfa(alphabet, new_id[start], frozenset(new_id[q] for q in accepting if q in new_id), delta)
 
 
 def serialize_dfa(d: Dfa) -> str:

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Dfa,
-    Word,
-    disjoint_union,
-    reachable_states,
-    shortest_cycle_word,
-    shortest_word_to,
-    states_on_cycles,
-)
+from .core import Dfa, disjoint_union
 from .classes import finite_difference_classes
 from .fmin import is_f_minimal
 from .language import INFINITE, classify_difference
@@ -32,17 +24,6 @@ class StateBijection:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-
-@dataclass(frozen=True)
-class RepresentativeAssignment:
-    """The long witness words used to transport infinite-part states across machines."""
-
-    threshold: int  # every representative is strictly longer than this
-    words: tuple[tuple[int, Word], ...]
-
-    def word_for(self, q: int) -> Word:
-        return dict(self.words)[q]
 
 
 def _require_minimized(d: Dfa, side: str) -> None:
@@ -118,48 +99,6 @@ def infinite_part_iso(a: Dfa, b: Dfa) -> StateBijection | None:
     if len({t for _, t in mapping}) != len(inf_b):
         return None
     return StateBijection(INFINITE_PART, tuple(mapping))
-
-
-def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, RepresentativeAssignment]:
-    """Build the infinite-part isomorphism constructively through long witness words.
-
-    For each infinite-part state q of ``a``, pump the first discovered cycle on
-    a path to q (smallest-id cycle entry, shortlex-least words) until the word
-    w_q is longer than N = |states(a)| * |states(b)|, and map q to where ``b``
-    takes w_q.  Requires both machines minimized and finitely different; the
-    resulting map is verified and any failure raises, since it would contradict
-    the length-threshold argument.
-    """
-    _require_minimized(a, "left")
-    _require_minimized(b, "right")
-    if classify_difference(a, b).kind == INFINITE:
-        raise ValueError("automata are not finitely different")
-    threshold = a.n_states * b.n_states
-    inf_a = sorted(compute_parts(a).infinite)
-    inf_b = compute_parts(b).infinite
-    cycle_entries = sorted(states_on_cycles(a.delta))
-    reach_from = {c: reachable_states(a.delta, c) for c in cycle_entries}
-    mapping = []
-    reps = []
-    for q in inf_a:
-        entry = next(c for c in cycle_entries if q in reach_from[c])
-        prefix = shortest_word_to(a, a.start, {entry})
-        pump = shortest_cycle_word(a, entry)
-        tail = shortest_word_to(a, entry, {q})
-        base = len(prefix) + len(tail)
-        pumps = max(0, -(-(threshold + 1 - base) // len(pump)))
-        word = prefix + pump * pumps + tail
-        if a.run(word) != q:
-            raise AssertionError(f"representative word does not reach state {q}; this is a bug")
-        mapping.append((q, b.run(word)))
-        reps.append((q, word))
-    if {t for _, t in mapping} != inf_b:
-        raise AssertionError("representative map does not target the infinite part; this is a bug")
-    bij = StateBijection(INFINITE_PART, tuple(mapping))
-    ok, reason = verify_bijection(a, b, bij)
-    if not ok:
-        raise AssertionError(f"representative map fails verification ({reason}); this is a bug")
-    return bij, RepresentativeAssignment(threshold, tuple(reps))
 
 
 def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:

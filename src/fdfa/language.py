@@ -99,15 +99,18 @@ def enumerate_finite_language(d: Dfa) -> list[Word]:
         raise InfiniteLanguageError(cls.witness)
     if cls.kind == EMPTY:
         return []
-    useful = useful_states(d)
-    # runs of accepted words never leave the useful set, which is acyclic here
+    return _list_words(d, useful_states(d), d.accepting)
+
+
+def _list_words(d: Dfa, useful, targets) -> list[Word]:
+    """Every word whose run from the start stays in ``useful`` and ends in
+    ``targets``, shortlex-sorted.  No cycle may run through ``useful``."""
     out: list[Word] = []
     stack: list[tuple[int, Word]] = [(d.start, "")]
     delta = d.delta
-    accepting = d.accepting
     while stack:
         q, word = stack.pop()
-        if q in accepting:
+        if q in targets:
             out.append(word)
         for ci, sym in enumerate(d.alphabet):
             t = delta[q][ci]
@@ -132,8 +135,9 @@ def symmetric_difference(a: Dfa, b: Dfa) -> DiffResult:
     cls = classify_language(prod)
     if cls.kind == INFINITE:
         return DiffResult(INFINITE, witness=cls.witness)
-    words = tuple(enumerate_finite_language(prod)) if cls.kind == FINITE else ()
-    return DiffResult(FINITE, words=words)
+    # an empty difference lists no word, as the start cannot reach acceptance
+    words = _list_words(prod, useful_states(prod), prod.accepting)
+    return DiffResult(FINITE, words=tuple(words))
 
 
 def languages_equal(a: Dfa, b: Dfa) -> bool:

@@ -92,7 +92,7 @@ def minimize(d: Dfa) -> Dfa:
 
 
 def is_minimized(d: Dfa) -> bool:
-    return minimize(d).n_states == d.n_states
+    return moore_partition(d).n_blocks == d.n_states
 
 
 def _pair_distances(d: Dfa) -> list[int]:

@@ -1,4 +1,4 @@
-"""The finite/infinite split of a DFA's state set, computed two independent ways.
+"""The finite/infinite split of a DFA's state set.
 
 A state is in the infinite part when infinitely many words lead to it from the
 start; equivalently, when it lies on a cycle or is reachable from a state on a
@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, reachable_states, states_on_cycles
+from .core import Dfa, Word, reachable_states, states_on_cycles, states_reaching
+from .language import _list_words
 
 
 @dataclass(frozen=True)
@@ -29,24 +30,6 @@ def compute_parts(d: Dfa) -> PartsPartition:
     return PartsPartition(finite, frozenset(infinite))
 
 
-def compute_parts_by_counting(d: Dfa) -> PartsPartition:
-    """Split states by layered reachability over 2n levels.
-
-    A state is in the infinite part iff some word of length in [n, 2n) reaches
-    it, because any such run repeats a state and can be pumped.
-    """
-    n = d.n_states
-    delta = d.delta
-    layer = {d.start}
-    infinite: set[int] = set()
-    for depth in range(2 * n):
-        if depth >= n:
-            infinite |= layer
-        layer = {t for q in layer for t in delta[q]}
-    finite = frozenset(set(d.states) - infinite)
-    return PartsPartition(finite, frozenset(infinite))
-
-
 def words_reaching(d: Dfa, q: int) -> list[Word]:
     """Every word whose run from the start ends at ``q``, shortlex-sorted.
 
@@ -58,18 +41,5 @@ def words_reaching(d: Dfa, q: int) -> list[Word]:
     parts = compute_parts(d)
     if q in parts.infinite:
         raise ValueError(f"state {q} is in the infinite part; infinitely many words reach it")
-    finite = parts.finite
-    # runs into a finite-part state never leave the finite part, which is acyclic
-    out: list[Word] = []
-    stack: list[tuple[int, Word]] = [(d.start, "")]
-    delta = d.delta
-    while stack:
-        s, word = stack.pop()
-        if s == q:
-            out.append(word)
-        for ci, sym in enumerate(d.alphabet):
-            t = delta[s][ci]
-            if t in finite:
-                stack.append((t, word + sym))
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    # every state that can reach q is in the finite part, which is acyclic
+    return _list_words(d, states_reaching(d.delta, {q}), {q})

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import strategies as st
 
 from fdfa.core import Dfa, trim
-from fdfa.oracle import enumerate_all_dfas
+
+from oracle import enumerate_all_dfas
 
 
 @pytest.fixture(scope="session")

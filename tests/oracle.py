@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .core import AlphabetMismatchError, Dfa, Word, reachable_states
-from .language import symmetric_difference
+from fdfa.core import AlphabetMismatchError, Dfa, Word, reachable_states
+from fdfa.language import symmetric_difference
 
 
 @dataclass(frozen=True)

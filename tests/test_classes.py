@@ -8,11 +8,9 @@ from fdfa.classes import (
     class_matching,
     cross_finitely_different,
     dfas_finitely_different,
-    finite_language_by_minimization,
     signature_equal,
     state_class_partition,
     states_finitely_different,
-    states_finitely_different_by_shape,
 )
 from fdfa.core import AlphabetMismatchError, Dfa, induce
 from fdfa.iso import infinite_part_iso
@@ -22,6 +20,7 @@ from fdfa.parts import compute_parts
 from fdfa.rand import random_dfa
 
 from conftest import dfas, sigma_upto
+from reference import finite_language_by_minimization, states_finitely_different_by_shape
 
 
 # The per-pair procedures below are the reference the pair-graph engine is

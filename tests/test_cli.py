@@ -172,10 +172,11 @@ def test_random_output_passes_check(tmp_path):
     assert run_cli("check", str(out)).returncode == 0
 
 
-def test_oracle_diff_subcommand():
+def test_oracle_diff_is_an_unknown_command():
     r = run_cli("oracle-diff", fix("odd"), fix("even"), "--bound", "1")
-    assert r.returncode == 0
-    assert r.stdout == "count 3\n@\n0\n1\n"
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "invalid choice: 'oracle-diff'" in r.stderr
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -207,7 +208,6 @@ def test_trim_warning_goes_to_stderr(tmp_path):
         ("findiff", fix("odd"), fix("even")),
         ("iso", fix("zstar"), fix("onezstar"), "--part", "infinite"),
         ("random", "--states", "5", "--alphabet", "01", "--seed", "123"),
-        ("oracle-diff", fix("sigplus"), fix("all"), "--bound", "3"),
     ],
 )
 def test_stdout_is_byte_stable_across_runs(args):

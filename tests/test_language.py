@@ -81,6 +81,21 @@ def test_symmetric_difference_equal_languages():
     assert diff.words == ()
 
 
+def test_symmetric_difference_classifies_the_product_once(monkeypatch):
+    import fdfa.language
+
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return classify_language(d)
+
+    monkeypatch.setattr(fdfa.language, "classify_language", counted)
+    diff = symmetric_difference(fixtures.sigplus(), fixtures.all_words())
+    assert diff.words == ("",)
+    assert len(calls) == 1
+
+
 def test_symmetric_difference_infinite_with_pumpable_witness():
     a, b = fixtures.odd_length(), fixtures.even_length()
     diff = symmetric_difference(a, b)

@@ -5,15 +5,15 @@ from fdfa import fixtures
 from fdfa.core import AlphabetMismatchError, Dfa
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
-from fdfa.oracle import (
+from fdfa.rand import random_dfa
+
+from conftest import dfas
+from oracle import (
     enumerate_all_dfas,
     membership_table,
     oracle_diff,
     oracle_is_f_minimal,
 )
-from fdfa.rand import random_dfa
-
-from conftest import dfas
 
 
 def test_membership_table_covers_every_word_up_to_bound():

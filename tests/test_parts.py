@@ -3,9 +3,12 @@ from hypothesis import given
 
 from fdfa import fixtures
 from fdfa.construct import construct_pair
-from fdfa.parts import compute_parts, compute_parts_by_counting, words_reaching
+from fdfa.core import Dfa
+from fdfa.language import enumerate_finite_language
+from fdfa.parts import compute_parts, words_reaching
 
 from conftest import dfas
+from reference import compute_parts_by_counting
 
 
 def test_parts_of_fixtures():
@@ -26,8 +29,6 @@ def test_parts_of_finite_language_machine():
 
 def test_state_after_cycle_is_infinite_part():
     # 0 loops, 1 hangs off the loop: still reached by infinitely many words
-    from fdfa.core import Dfa
-
     d = Dfa("01", 0, {1}, ((0, 1), (2, 2), (2, 2)))
     parts = compute_parts(d)
     assert 1 in parts.infinite
@@ -63,6 +64,13 @@ def test_words_reaching_finite_part_state():
     zero = fixtures.finite_language_dfa(["0"])
     assert words_reaching(zero, 0) == [""]
     assert words_reaching(zero, 1) == ["0"]
+
+
+@given(dfas(max_states=6))
+def test_words_reaching_lists_the_language_accepted_at_the_state(d):
+    for q in compute_parts(d).finite:
+        only_q = Dfa(d.alphabet, d.start, {q}, d.delta)
+        assert words_reaching(d, q) == enumerate_finite_language(only_q)
 
 
 def test_words_reaching_rejects_infinite_part_state():

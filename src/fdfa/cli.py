@@ -92,7 +92,7 @@ def _cmd_fminimize(args) -> int:
         for r in records:
             print(
                 f"merge p={r.merged} into q={r.target} class={r.class_id} "
-                f"bound={len(r.words_into_merged)}x{len(r.class_diff_words)}"
+                f"bound={r.n_into}x{r.n_diff}"
             )
     _write_dfa(result, args.output)
     return 0
@@ -120,8 +120,7 @@ def _cmd_diff(args) -> int:
     verdict, diff = dfas_finitely_different(a, b)
     if verdict:
         print(f"finite {len(diff.words)}")
-        for w in diff.words:
-            print(format_word(w))
+        sys.stdout.writelines(format_word(w) + "\n" for w in diff.words)
         return 0
     lasso = diff.witness
     print("infinite")
@@ -244,10 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args fills a fresh namespace on every call, so one parser serves
+# every request of a process
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

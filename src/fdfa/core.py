@@ -303,7 +303,7 @@ def disjoint_union(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozens
 
 def _lex_symbol_order(d: Dfa) -> tuple[tuple[int, str], ...]:
     # symbol positions in character order, so breadth-first searches yield shortlex words
-    return tuple(sorted(((i, s) for i, s in enumerate(d.alphabet)), key=lambda t: t[1]))
+    return tuple(sorted(enumerate(d.alphabet), key=lambda t: t[1]))
 
 
 def shortest_word_to(d: Dfa, source: int, targets: Iterable[int]) -> Word | None:

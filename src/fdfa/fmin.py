@@ -10,9 +10,11 @@ machine of minimum size within its class (no local minima).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import Dfa, trim
+from .core import Dfa, induce, product_xor, states_reaching, trim
 from .classes import state_class_partition, states_finitely_different
+from .language import _count_words, useful_states
 from .minimize import minimize, moore_partition
 from .parts import compute_parts, words_reaching
 
@@ -60,24 +62,39 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
 class MergeRecord:
     """One performed f-merge, with enough context to audit its diff bound.
 
-    ``words_into_merged`` is X (the words that reach the deleted state) and
-    ``class_diff_words`` is Z (where the deleted and target states' induced
-    languages disagree); the language change caused by this merge is a subset
-    of X.Z, so at most |X|*|Z| words.  State ids refer to the machine current
-    at merge time (``before``).
+    X is the set of words that reach the deleted state and Z the set where the
+    deleted and target states' induced languages disagree; the language change
+    caused by this merge is a subset of X.Z, so at most |X|*|Z| words.  The
+    record keeps the counts ``n_into`` = |X| and ``n_diff`` = |Z|, which can be
+    exponential in the state count; ``words_into_merged`` and
+    ``class_diff_words`` list X and Z from ``before`` only when asked.  State
+    ids refer to the machine current at merge time (``before``).
     """
 
     merged: int
     target: int
     class_id: int
-    words_into_merged: tuple[str, ...]
-    class_diff_words: tuple[str, ...]
+    n_into: int
+    n_diff: int
     before: Dfa
     after: Dfa
 
     @property
     def bound(self) -> int:
-        return len(self.words_into_merged) * len(self.class_diff_words)
+        return self.n_into * self.n_diff
+
+    # listed once per record on the first read: a nested loop over X and Z
+    # reads Z again for every word of X
+    @cached_property
+    def words_into_merged(self) -> tuple[str, ...]:
+        """X, shortlex-sorted."""
+        return tuple(words_reaching(self.before, self.merged))
+
+    @cached_property
+    def class_diff_words(self) -> tuple[str, ...]:
+        """Z, shortlex-sorted."""
+        _, diff = states_finitely_different(self.before, self.merged, self.target)
+        return diff.words
 
 
 def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
@@ -104,7 +121,8 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
 
     ``order`` is "canonical" or "reversed"; both reach a smallest machine in the
     class, the trace merely differs.  Parts and classes are recomputed from
-    scratch after every merge.
+    scratch after every merge.  Each record counts X and Z by paths and lists
+    no word, so the trace costs polynomial time however large its bounds are.
     """
     if order not in ("canonical", "reversed"):
         raise ValueError(f"unknown order {order!r}")
@@ -118,16 +136,17 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         if picked is None:
             break
         p, q = picked
-        _, diff = states_finitely_different(m, p, q)
-        x_words = tuple(words_reaching(m, p))
+        # p is in the finite part, so every state reaching it is acyclic; p ~ q,
+        # so the useful part of their difference product is acyclic too
+        prod = product_xor(induce(m, p), induce(m, q)).dfa
         merged = _merge(m, p, q)
         trace.append(
             MergeRecord(
                 merged=p,
                 target=q,
                 class_id=classes.class_of[p],
-                words_into_merged=x_words,
-                class_diff_words=diff.words,
+                n_into=_count_words(m, states_reaching(m.delta, {p}), {p}),
+                n_diff=_count_words(prod, useful_states(prod), prod.accepting),
                 before=m,
                 after=merged,
             )

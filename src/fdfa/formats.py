@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Dfa, Word, check_alphabet
+from .core import Dfa, Word, _lex_symbol_order, check_alphabet
 
 EPSILON_TOKEN = "@"
 
@@ -177,9 +177,10 @@ def serialize_dfa(d: Dfa) -> str:
         lines.append("accept " + " ".join(str(q) for q in sorted(d.accepting)))
     else:
         lines.append("accept -")
-    for q in d.states:
-        for ci, sym in sorted(enumerate(d.alphabet), key=lambda t: t[1]):
-            lines.append(f"{q} {sym} {d.delta[q][ci]}")
+    order = _lex_symbol_order(d)
+    for q, row in enumerate(d.delta):
+        for ci, sym in order:
+            lines.append(f"{q} {sym} {row[ci]}")
     return "\n".join(lines) + "\n"
 
 

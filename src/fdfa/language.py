@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Dfa,
     Word,
+    _lex_symbol_order,
     product_xor,
     shortest_cycle_word,
     shortest_word_to,
@@ -39,6 +40,9 @@ class Lasso:
 class Classification:
     kind: str  # EMPTY, FINITE or INFINITE
     witness: Lasso | None = None
+    # the states that can still reach acceptance, kept so that listing a finite
+    # language does not run the backward closure a second time
+    useful: set[int] = field(default_factory=set, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,16 @@ def classify_language(d: Dfa) -> Classification:
     """
     useful = useful_states(d)
     if d.start not in useful:
-        return Classification(EMPTY)
+        return Classification(EMPTY, useful=useful)
     pumpable = useful & states_on_cycles(d.delta)
     if not pumpable:
-        return Classification(FINITE)
+        return Classification(FINITE, useful=useful)
     c = min(pumpable)
     pump = shortest_cycle_word(d, c)
     prefix = shortest_word_to(d, d.start, {c})
     suffix = shortest_word_to(d, c, d.accepting)
     # all three exist by choice of c: reachable, on a cycle, and useful
-    return Classification(INFINITE, Lasso(prefix, pump, suffix))
+    return Classification(INFINITE, Lasso(prefix, pump, suffix), useful)
 
 
 def enumerate_finite_language(d: Dfa) -> list[Word]:
@@ -97,27 +101,58 @@ def enumerate_finite_language(d: Dfa) -> list[Word]:
     cls = classify_language(d)
     if cls.kind == INFINITE:
         raise InfiniteLanguageError(cls.witness)
-    if cls.kind == EMPTY:
-        return []
-    return _list_words(d, useful_states(d), d.accepting)
+    # an empty language lists no word, as the start cannot reach acceptance
+    return _list_words(d, cls.useful, d.accepting)
 
 
 def _list_words(d: Dfa, useful, targets) -> list[Word]:
     """Every word whose run from the start stays in ``useful`` and ends in
-    ``targets``, shortlex-sorted.  No cycle may run through ``useful``."""
-    out: list[Word] = []
-    stack: list[tuple[int, Word]] = [(d.start, "")]
+    ``targets``, shortlex-sorted.  No cycle may run through ``useful``.
+
+    Breadth-first, one word length at a time, trying symbols in character
+    order: each level then comes out sorted, so no sort is needed.
+    """
+    order = _lex_symbol_order(d)
     delta = d.delta
-    while stack:
-        q, word = stack.pop()
-        if q in targets:
-            out.append(word)
-        for ci, sym in enumerate(d.alphabet):
-            t = delta[q][ci]
-            if t in useful:
-                stack.append((t, word + sym))
-    out.sort(key=shortlex_key)
+    out: list[Word] = []
+    level: list[tuple[int, Word]] = [(d.start, "")]
+    while level:
+        nxt: list[tuple[int, Word]] = []
+        for q, word in level:
+            if q in targets:
+                out.append(word)
+            row = delta[q]
+            for ci, sym in order:
+                t = row[ci]
+                if t in useful:
+                    nxt.append((t, word + sym))
+        level = nxt
     return out
+
+
+def _count_words(d: Dfa, useful, targets) -> int:
+    """How many words :func:`_list_words` lists for the same arguments.
+
+    Counts paths instead of listing them: a dynamic program over the acyclic
+    ``useful`` subgraph in reverse topological order, O(k·|useful|) steps and
+    an exact int however many words there are.
+    """
+    delta = d.delta
+    count: dict[int, int] = {}
+    stack = [d.start]
+    while stack:
+        q = stack[-1]
+        if q in count:
+            stack.pop()
+            continue
+        succ = [t for t in delta[q] if t in useful]
+        pending = [t for t in succ if t not in count]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        count[q] = (q in targets) + sum(count[t] for t in succ)
+    return count[d.start]
 
 
 def classify_difference(a: Dfa, b: Dfa) -> Classification:
@@ -136,7 +171,7 @@ def symmetric_difference(a: Dfa, b: Dfa) -> DiffResult:
     if cls.kind == INFINITE:
         return DiffResult(INFINITE, witness=cls.witness)
     # an empty difference lists no word, as the start cannot reach acceptance
-    words = _list_words(prod, useful_states(prod), prod.accepting)
+    words = _list_words(prod, cls.useful, prod.accepting)
     return DiffResult(FINITE, words=tuple(words))
 
 

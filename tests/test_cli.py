@@ -222,3 +222,30 @@ def test_findiff_gives_a_verdict_without_listing_words(tmp_path):
     chain.write_text(serialize_dfa(sigma_upto(30)))
     r = run_cli("findiff", str(chain), fix("empty"))
     assert (r.returncode, r.stdout) == (0, "finitely-different\n")
+
+
+def test_fminimize_trace_counts_exponential_bounds(tmp_path):
+    chain = tmp_path / "chain.dfa"
+    chain.write_text(serialize_dfa(sigma_upto(40)))
+    r = run_cli("fminimize", str(chain), "--trace")
+    assert r.returncode == 0
+    first = r.stdout.splitlines()[0]
+    assert first == f"merge p=40 into q=41 class=0 bound={2 ** 40}x1"
+
+
+def test_main_leaks_no_option_into_the_next_call(tmp_path, capsys):
+    from fdfa.cli import main
+
+    assert main(["fminimize", fix("sigplus"), "--trace"]) == 0
+    assert capsys.readouterr().out.startswith("merge p=0 into q=1 ")
+    assert main(["fminimize", fix("sigplus")]) == 0
+    assert "merge" not in capsys.readouterr().out
+
+    short = tmp_path / "short.dfa"
+    short.write_text("dfa v1\nalphabet 01\nstates 1\nstart 0\naccept -\n0 0 0\n")
+    assert main(["check", str(short), "--complete"]) == 0
+    assert capsys.readouterr().out.startswith("ok\n")
+    assert main(["check", str(short)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "incomplete transition table" in captured.err

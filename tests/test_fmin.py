@@ -16,7 +16,7 @@ from fdfa.language import symmetric_difference
 from fdfa.minimize import is_minimized
 from fdfa.parts import compute_parts
 
-from conftest import dfas
+from conftest import dfas, sigma_upto
 
 
 def zero_machine():
@@ -172,3 +172,32 @@ def test_f_minimize_properties(d):
         realized = symmetric_difference(r.before, r.after)
         assert realized.finite
         assert len(realized.words) <= r.bound
+
+
+def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
+    import sys
+
+    import fdfa.classes
+    import fdfa.parts
+
+    calls = []
+    for original in (fdfa.parts.words_reaching, fdfa.classes.states_finitely_different):
+        def counted(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        # modules copy names on import, so rebind every name holding the original
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fdfa") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+
+    out, records = f_minimize(sigma_upto(12))
+    assert calls == []
+    assert out.n_states == 1
+    assert (records[0].merged, records[0].target) == (12, 13)
+    assert (records[0].n_into, records[0].n_diff) == (2 ** 12, 1)
+    assert records[0].bound == 2 ** 12
+    # the word lists are still there on request
+    assert len(records[0].words_into_merged) == 2 ** 12
+    assert records[0].class_diff_words == ("",)
+    assert calls == ["words_reaching", "states_finitely_different"]

@@ -1,21 +1,27 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from fdfa import fixtures
-from fdfa.core import AlphabetMismatchError, Dfa
+from fdfa.classes import state_class_partition
+from fdfa.core import AlphabetMismatchError, Dfa, induce, product_xor, states_reaching
 from fdfa.language import (
     EMPTY,
     FINITE,
     INFINITE,
     InfiniteLanguageError,
+    _count_words,
+    _list_words,
     classify_language,
     enumerate_finite_language,
     languages_equal,
     shortlex_key,
     symmetric_difference,
+    useful_states,
 )
+from fdfa.parts import compute_parts
 
-from conftest import dfas
+from conftest import dfas, sigma_upto
+from oracle import oracle_diff
 
 
 def test_shortlex_orders_by_length_then_characters():
@@ -129,3 +135,48 @@ def test_diff_words_are_exactly_the_disagreements(a, b):
         for w in ("", "0", "1", "00", "01", "10", "11", "000", "111"):
             if w not in claimed:
                 assert a.accepts(w) == b.accepts(w)
+
+
+def assert_count_matches_listing(d, useful, targets):
+    n = _count_words(d, useful, targets)
+    # a listing can be exponentially long; compare only those that stay small
+    if n <= 2 ** 14:
+        assert n == len(_list_words(d, useful, targets))
+
+
+@given(dfas(max_states=6))
+@settings(max_examples=60, deadline=None)
+def test_count_words_matches_the_listing(d):
+    # X: the words reaching a finite-part state
+    for p in compute_parts(d).finite:
+        assert_count_matches_listing(d, states_reaching(d.delta, {p}), {p})
+    # Z: the difference of two finitely different states
+    for cls in state_class_partition(d).classes:
+        for p in cls:
+            for q in cls:
+                if p != q:
+                    prod = product_xor(induce(d, p), induce(d, q)).dfa
+                    assert_count_matches_listing(prod, useful_states(prod), prod.accepting)
+
+
+def shortlex_oracle(a, b):
+    # every word of a finite difference is shorter than the product's state count
+    return sorted(oracle_diff(a, b, a.n_states * b.n_states), key=shortlex_key)
+
+
+@pytest.mark.parametrize("alphabet", ["10", "ba"])
+def test_words_are_listed_in_shortlex_order_whatever_the_alphabet_order(alphabet):
+    chain = sigma_upto(4, alphabet)
+    empty = Dfa(alphabet, 0, frozenset(), ((0, 0),))
+    words = symmetric_difference(chain, empty).words
+    assert list(words) == shortlex_oracle(chain, empty)
+    assert enumerate_finite_language(chain) == list(words)
+
+
+# the oracle simulates all 2^(n·m + 1) words up to the bound, so n, m <= 3
+@given(dfas(max_states=3, alphabet="ba"), dfas(max_states=3, alphabet="ba"))
+@settings(max_examples=60, deadline=None)
+def test_difference_words_come_out_in_shortlex_order(a, b):
+    diff = symmetric_difference(a, b)
+    if diff.finite:
+        assert list(diff.words) == shortlex_oracle(a, b)

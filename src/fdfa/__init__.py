@@ -56,10 +56,8 @@ from .language import (
     FINITE,
     INFINITE,
     Classification,
-    DiffResult,
     InfiniteLanguageError,
     Lasso,
-    classify_difference,
     classify_language,
     enumerate_finite_language,
     languages_equal,
@@ -77,7 +75,6 @@ __all__ = [
     "ConstructionSpec",
     "Dfa",
     "DfaFormatError",
-    "DiffResult",
     "EMPTY",
     "FINITE",
     "FMergeError",
@@ -91,7 +88,6 @@ __all__ = [
     "StateClassPartition",
     "TrimWarning",
     "class_matching",
-    "classify_difference",
     "classify_language",
     "compute_parts",
     "construct_pair",

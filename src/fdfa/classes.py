@@ -18,7 +18,7 @@ from .core import (
     states_on_cycles,
     states_reaching,
 )
-from .language import DiffResult, symmetric_difference
+from .language import Classification, symmetric_difference
 from .minimize import moore_blocks
 
 
@@ -72,12 +72,12 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     return tuple(smallest[leader[x]] for x in block_of)
 
 
-def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, DiffResult]:
-    """Decide p ~ q inside one machine; the DiffResult carries words or a lasso.
+def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, Classification]:
+    """Decide p ~ q inside one machine; the Classification gives words or a lasso.
 
     This is the witness API: it builds the product of the two induced machines
-    and lists the whole difference.  For verdicts alone use
-    :func:`state_class_partition`.
+    and classifies it; the words or the lasso are built when read.  For the
+    verdicts of many pairs use :func:`state_class_partition`.
     """
     for s in (p, q):
         if s not in d.states:
@@ -86,7 +86,7 @@ def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, DiffResult]
     return diff.finite, diff
 
 
-def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, DiffResult]:
+def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, Classification]:
     """Decide p ~ q for states of two different machines over one alphabet (witness API)."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
@@ -127,11 +127,11 @@ def signature_equal(a: Dfa, b: Dfa) -> bool:
     return class_matching(a, b) is not None
 
 
-def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, DiffResult]:
+def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, Classification]:
     """Machine-level ~: do L(a) and L(b) differ on only finitely many words?
 
-    The DiffResult lists every word of a finite difference; for the verdict
-    alone, :func:`fdfa.language.classify_difference` lists none.
+    The Classification lists the words of a finite difference, or builds the
+    lasso of an infinite one, when they are read.
     """
     diff = symmetric_difference(a, b)
     return diff.finite, diff

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .classes import dfas_finitely_different, state_class_partition
 from .construct import construct_pair
-from .core import AlphabetMismatchError, Dfa
-from .fmin import FMergeError, f_minimize
+from .core import Dfa
+from .fmin import f_minimize
 from .formats import (
     DfaFormatError,
     TrimWarning,
@@ -26,12 +26,10 @@ from .formats import (
     serialize_dfa,
 )
 from .iso import finite_part_iso, infinite_part_iso
-from .language import INFINITE, classify_difference
+from .language import symmetric_difference
 from .minimize import minimize
 from .parts import compute_parts
 from .rand import random_dfa
-
-_VISIBLE = "{check,minimize,fminimize,parts,classes,diff,findiff,iso,construct,random}"
 
 
 class CliError(Exception):
@@ -134,7 +132,7 @@ def _cmd_diff(args) -> int:
 def _cmd_findiff(args) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    verdict = classify_difference(a, b).kind != INFINITE
+    verdict = symmetric_difference(a, b).finite
     print("finitely-different" if verdict else "not-finitely-different")
     return 0 if verdict else 1
 
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fdfa",
         description="Analyze DFAs whose languages differ by finitely many words.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar=_VISIBLE)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a machine file")
     p.add_argument("file")
@@ -255,13 +253,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"fdfa: error: {exc}", file=sys.stderr)
-        return 2
-    except (DfaFormatError, AlphabetMismatchError, FMergeError, ValueError) as exc:
-        print(f"fdfa: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # DfaFormatError, AlphabetMismatchError, FMergeError and UnicodeDecodeError
+    # are ValueErrors
+    except (CliError, ValueError, OSError) as exc:
         print(f"fdfa: error: {exc}", file=sys.stderr)
         return 2
 

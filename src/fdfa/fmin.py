@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Dfa, induce, product_xor, states_reaching, trim
+from .core import Dfa, induce, states_reaching, trim
 from .classes import state_class_partition, states_finitely_different
-from .language import _count_words, useful_states
-from .minimize import minimize, moore_partition
+from .language import _count_words, symmetric_difference
+from .minimize import is_minimized, minimize, moore_partition
 from .parts import compute_parts, words_reaching
 
 
@@ -136,23 +136,21 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         if picked is None:
             break
         p, q = picked
-        # p is in the finite part, so every state reaching it is acyclic; p ~ q,
-        # so the useful part of their difference product is acyclic too
-        prod = product_xor(induce(m, p), induce(m, q)).dfa
         merged = _merge(m, p, q)
         trace.append(
             MergeRecord(
                 merged=p,
                 target=q,
                 class_id=classes.class_of[p],
+                # p is in the finite part, so every state reaching it is acyclic
                 n_into=_count_words(m, states_reaching(m.delta, {p}), {p}),
-                n_diff=_count_words(prod, useful_states(prod), prod.accepting),
+                n_diff=symmetric_difference(induce(m, p), induce(m, q)).n_words,
                 before=m,
                 after=merged,
             )
         )
         m = merged
-    if not minimize(m).n_states == m.n_states:
+    if not is_minimized(m):
         raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
     return m, tuple(trace)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import Dfa, disjoint_union
 from .classes import finite_difference_classes
 from .fmin import is_f_minimal
-from .language import INFINITE, classify_difference
+from .language import symmetric_difference
 from .minimize import is_minimized, moore_blocks
 from .parts import compute_parts
 
@@ -115,7 +115,7 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     ok_b, _ = is_f_minimal(b)
     if not ok_b:
         raise ValueError("right automaton is not f-minimal")
-    if classify_difference(a, b).kind == INFINITE:
+    if not symmetric_difference(a, b).finite:
         raise ValueError("automata are not finitely different")
     fin_a = sorted(compute_parts(a).finite)
     fin_b = sorted(compute_parts(b).finite)

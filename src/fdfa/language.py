@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     Dfa,
@@ -38,24 +39,48 @@ class Lasso:
 
 @dataclass(frozen=True)
 class Classification:
+    """What L(dfa) is: EMPTY, FINITE or INFINITE.
+
+    The verdict costs one backward closure and one cycle search.  The lasso
+    ``witness``, the word list ``words`` and the count ``n_words`` are built
+    from ``dfa`` on first read, so a caller that needs only the verdict never
+    pays for them.
+    """
+
     kind: str  # EMPTY, FINITE or INFINITE
-    witness: Lasso | None = None
-    # the states that can still reach acceptance, kept so that listing a finite
-    # language does not run the backward closure a second time
-    useful: set[int] = field(default_factory=set, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class DiffResult:
-    """Symmetric difference of two languages: a finite word list or a lasso witness."""
-
-    kind: str  # FINITE or INFINITE
-    words: tuple[Word, ...] | None = None
-    witness: Lasso | None = None
+    dfa: Dfa = field(compare=False, repr=False)
+    # the states that can still reach acceptance, from the verdict's closure
+    _useful: set[int] = field(compare=False, repr=False)
 
     @property
     def finite(self) -> bool:
-        return self.kind == FINITE
+        return self.kind != INFINITE
+
+    @cached_property
+    def witness(self) -> Lasso | None:
+        """For an infinite language, a lasso through the smallest-id useful state on
+        a cycle, with shortlex-least prefix, pump and suffix; else None."""
+        if self.kind != INFINITE:
+            return None
+        d = self.dfa
+        c = min(self._useful & states_on_cycles(d.delta))
+        # all three exist by choice of c: reachable, on a cycle, and useful
+        return Lasso(shortest_word_to(d, d.start, {c}), shortest_cycle_word(d, c),
+                     shortest_word_to(d, c, d.accepting))
+
+    @cached_property
+    def words(self) -> tuple[Word, ...] | None:
+        """Every accepted word, shortlex-sorted; None for an infinite language."""
+        if self.kind == INFINITE:
+            return None
+        return tuple(_list_words(self.dfa, self._useful, self.dfa.accepting))
+
+    @cached_property
+    def n_words(self) -> int | None:
+        """``len(words)``, counted without listing; None for an infinite language."""
+        if self.kind == INFINITE:
+            return None
+        return _count_words(self.dfa, self._useful, self.dfa.accepting)
 
 
 class InfiniteLanguageError(ValueError):
@@ -78,22 +103,17 @@ def useful_states(d: Dfa) -> set[int]:
 def classify_language(d: Dfa) -> Classification:
     """Decide whether L(d) is empty, finite, or infinite.
 
-    A language is infinite exactly when some state that can still accept lies on
-    a cycle; the returned lasso goes through the smallest-id such state with
-    shortlex-least prefix, pump, and suffix.
+    A language is infinite exactly when some state that can still accept lies
+    on a cycle.
     """
     useful = useful_states(d)
     if d.start not in useful:
-        return Classification(EMPTY, useful=useful)
-    pumpable = useful & states_on_cycles(d.delta)
-    if not pumpable:
-        return Classification(FINITE, useful=useful)
-    c = min(pumpable)
-    pump = shortest_cycle_word(d, c)
-    prefix = shortest_word_to(d, d.start, {c})
-    suffix = shortest_word_to(d, c, d.accepting)
-    # all three exist by choice of c: reachable, on a cycle, and useful
-    return Classification(INFINITE, Lasso(prefix, pump, suffix), useful)
+        kind = EMPTY
+    elif useful & states_on_cycles(d.delta):
+        kind = INFINITE
+    else:
+        kind = FINITE
+    return Classification(kind, d, useful)
 
 
 def enumerate_finite_language(d: Dfa) -> list[Word]:
@@ -101,8 +121,7 @@ def enumerate_finite_language(d: Dfa) -> list[Word]:
     cls = classify_language(d)
     if cls.kind == INFINITE:
         raise InfiniteLanguageError(cls.witness)
-    # an empty language lists no word, as the start cannot reach acceptance
-    return _list_words(d, cls.useful, d.accepting)
+    return list(cls.words)
 
 
 def _list_words(d: Dfa, useful, targets) -> list[Word]:
@@ -155,26 +174,16 @@ def _count_words(d: Dfa, useful, targets) -> int:
     return count[d.start]
 
 
-def classify_difference(a: Dfa, b: Dfa) -> Classification:
-    """Whether L(a) xor L(b) is empty, finite or infinite, without listing a word.
+def symmetric_difference(a: Dfa, b: Dfa) -> Classification:
+    """L(a) xor L(b), classified on the xor product without listing a word.
 
-    Takes time polynomial in the product size even when the difference holds
-    exponentially many words; an infinite verdict carries its lasso.
+    The verdict takes time polynomial in the product size even when the
+    difference holds exponentially many words; ``words``, ``n_words`` and
+    ``witness`` are built on first read.
     """
     return classify_language(product_xor(a, b).dfa)
 
 
-def symmetric_difference(a: Dfa, b: Dfa) -> DiffResult:
-    """L(a) xor L(b): the full shortlex word list when finite, else a lasso witness."""
-    prod = product_xor(a, b).dfa
-    cls = classify_language(prod)
-    if cls.kind == INFINITE:
-        return DiffResult(INFINITE, witness=cls.witness)
-    # an empty difference lists no word, as the start cannot reach acceptance
-    words = _list_words(prod, cls.useful, prod.accepting)
-    return DiffResult(FINITE, words=tuple(words))
-
-
 def languages_equal(a: Dfa, b: Dfa) -> bool:
     """Exact language equality, decided by emptiness of the xor product."""
-    return classify_difference(a, b).kind == EMPTY
+    return symmetric_difference(a, b).kind == EMPTY

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Dfa, Word
+from .core import Dfa, Word, induce, product_xor, shortest_word_to
 
 
 @dataclass(frozen=True)
@@ -95,56 +95,12 @@ def is_minimized(d: Dfa) -> bool:
     return moore_partition(d).n_blocks == d.n_states
 
 
-def _pair_distances(d: Dfa) -> list[int]:
-    # dist[p*n+q] = length of the shortest word accepted from exactly one of p, q (-1: none)
-    n = d.n_states
-    k = len(d.alphabet)
-    acc = [q in d.accepting for q in range(n)]
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        row = d.delta[q]
-        for ci in range(k):
-            preds[ci][row[ci]].append(q)
-    dist = [-1] * (n * n)
-    queue = deque()
-    for p in range(n):
-        for q in range(n):
-            if acc[p] != acc[q]:
-                dist[p * n + q] = 0
-                queue.append((p, q))
-    while queue:
-        x, y = queue.popleft()
-        step = dist[x * n + y] + 1
-        for ci in range(k):
-            for px in preds[ci][x]:
-                for py in preds[ci][y]:
-                    if dist[px * n + py] == -1:
-                        dist[px * n + py] = step
-                        queue.append((px, py))
-    return dist
-
-
 def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
     """Shortlex-least word accepted from exactly one of ``p`` and ``q``.
 
-    Returns None when the two states have equal languages.
+    Returns None when the two states have equal languages.  A breadth-first
+    search of the xor product that tries symbols in character order meets
+    the shortlex-least accepting pair first.
     """
-    n = d.n_states
-    for s in (p, q):
-        if not 0 <= s < n:
-            raise ValueError(f"state {s} out of range")
-    dist = _pair_distances(d)
-    if dist[p * n + q] == -1:
-        return None
-    order = sorted(range(len(d.alphabet)), key=lambda ci: d.alphabet[ci])
-    acc = d.accepting
-    out = []
-    while (p in acc) == (q in acc):
-        remaining = dist[p * n + q]
-        for ci in order:
-            np_, nq_ = d.delta[p][ci], d.delta[q][ci]
-            if dist[np_ * n + nq_] == remaining - 1:
-                out.append(d.alphabet[ci])
-                p, q = np_, nq_
-                break
-    return "".join(out)
+    prod = product_xor(induce(d, p), induce(d, q)).dfa
+    return shortest_word_to(prod, prod.start, prod.accepting)

@@ -21,7 +21,7 @@ from fdfa.core import (
     states_on_cycles,
 )
 from fdfa.iso import INFINITE_PART, StateBijection, _require_minimized, verify_bijection
-from fdfa.language import INFINITE, classify_difference
+from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
 from fdfa.parts import PartsPartition, compute_parts
 
@@ -87,7 +87,7 @@ def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, Representa
     """
     _require_minimized(a, "left")
     _require_minimized(b, "right")
-    if classify_difference(a, b).kind == INFINITE:
+    if not symmetric_difference(a, b).finite:
         raise ValueError("automata are not finitely different")
     threshold = a.n_states * b.n_states
     inf_a = sorted(compute_parts(a).infinite)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdfa.cli import main
 from fdfa.formats import serialize_dfa
 
-from conftest import sigma_upto
+from conftest import dfas, sigma_upto
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -234,8 +239,6 @@ def test_fminimize_trace_counts_exponential_bounds(tmp_path):
 
 
 def test_main_leaks_no_option_into_the_next_call(tmp_path, capsys):
-    from fdfa.cli import main
-
     assert main(["fminimize", fix("sigplus"), "--trace"]) == 0
     assert capsys.readouterr().out.startswith("merge p=0 into q=1 ")
     assert main(["fminimize", fix("sigplus")]) == 0
@@ -249,3 +252,82 @@ def test_main_leaks_no_option_into_the_next_call(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "incomplete transition table" in captured.err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    assert main(["minimize", fix("zstar"), "-o", str(tmp_path / "missing" / "m.dfa")]) == 2
+    assert capsys.readouterr().err.startswith("fdfa: error: ")
+
+
+def test_findiff_builds_no_lasso(monkeypatch, capsys):
+    import fdfa.language
+
+    calls = []
+    original = fdfa.language.shortest_cycle_word
+
+    def counted(d, q):
+        calls.append(q)
+        return original(d, q)
+
+    monkeypatch.setattr(fdfa.language, "shortest_cycle_word", counted)
+    assert main(["findiff", fix("odd"), fix("even")]) == 1
+    assert capsys.readouterr().out == "not-finitely-different\n"
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_small = st.integers(-1, 4).map(str)
+_symbol = st.sampled_from(["0", "1", "a", "@", "01", "x"])
+# lines that are each close to a valid ``dfa v1`` line, in any order
+_near_valid_line = st.one_of(
+    st.just("dfa v1"),
+    st.sampled_from(["dfa v2", "dfa", "# comment", "", "   "]),
+    st.builds("alphabet {}".format, st.sampled_from(["01", "ab", "0", "00", "1@", ""])),
+    st.builds("states {}".format, st.one_of(_small, st.sampled_from(["1000000", "x", "1 2"]))),
+    st.builds("start {}".format, _small),
+    st.builds("accept {}".format, st.one_of(st.just("-"), _small,
+                                           st.builds("{} {}".format, _small, _small))),
+    st.builds("{} {} {}".format, _small, _symbol, _small),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _edited_machine(draw):
+    """A valid machine's text with up to three lines dropped, inserted or replaced."""
+    lines = serialize_dfa(draw(dfas(max_states=4))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        else:
+            lines[i:i + (edit == "replace")] = [draw(_near_valid_line)]
+    return "\n".join(lines)
+
+
+_fuzz_input = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.lists(_near_valid_line, max_size=14).map("\n".join).map(str.encode),
+    _edited_machine().map(str.encode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_input)
+def test_any_input_ends_in_a_verdict_or_a_usage_error(fuzz_dir, data):
+    path = fuzz_dir / "input.dfa"
+    path.write_bytes(data)
+    for argv in (["check", str(path)], ["check", "--complete", str(path)],
+                 ["classes", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, data, err.getvalue())
+        if code == 2:
+            assert err.getvalue().splitlines()[-1].startswith("fdfa: error: "), err.getvalue()

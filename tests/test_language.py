@@ -3,7 +3,14 @@ from hypothesis import given, settings
 
 from fdfa import fixtures
 from fdfa.classes import state_class_partition
-from fdfa.core import AlphabetMismatchError, Dfa, induce, product_xor, states_reaching
+from fdfa.core import (
+    AlphabetMismatchError,
+    Dfa,
+    induce,
+    product_xor,
+    shortest_cycle_word,
+    states_reaching,
+)
 from fdfa.language import (
     EMPTY,
     FINITE,
@@ -83,6 +90,7 @@ def test_symmetric_difference_finite():
 def test_symmetric_difference_equal_languages():
     a = fixtures.zstar()
     diff = symmetric_difference(a, a)
+    assert diff.kind == EMPTY
     assert diff.finite
     assert diff.words == ()
 
@@ -99,6 +107,36 @@ def test_symmetric_difference_classifies_the_product_once(monkeypatch):
     monkeypatch.setattr(fdfa.language, "classify_language", counted)
     diff = symmetric_difference(fixtures.sigplus(), fixtures.all_words())
     assert diff.words == ("",)
+    assert len(calls) == 1
+
+
+def test_a_finite_verdict_and_its_count_list_no_word(monkeypatch):
+    import fdfa.language
+
+    def refuse(*args):
+        raise AssertionError("a word was listed")
+
+    monkeypatch.setattr(fdfa.language, "_list_words", refuse)
+    diff = symmetric_difference(sigma_upto(60), Dfa("01", 0, frozenset(), ((0, 0),)))
+    assert diff.finite
+    assert diff.kind == FINITE
+    assert diff.n_words == 2 ** 61 - 1
+
+
+def test_an_infinite_verdict_builds_its_lasso_once_and_only_when_read(monkeypatch):
+    import fdfa.language
+
+    calls = []
+
+    def counted(d, q):
+        calls.append(q)
+        return shortest_cycle_word(d, q)
+
+    monkeypatch.setattr(fdfa.language, "shortest_cycle_word", counted)
+    diff = symmetric_difference(fixtures.odd_length(), fixtures.even_length())
+    assert diff.kind == INFINITE
+    assert calls == []
+    assert diff.witness is diff.witness
     assert len(calls) == 1
 
 

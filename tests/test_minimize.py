@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from fdfa import fixtures
-from fdfa.core import Dfa
+from fdfa.core import Dfa, induce
 from fdfa.language import languages_equal
 from fdfa.minimize import (
     distinguishing_word,
@@ -13,6 +13,7 @@ from fdfa.minimize import (
 )
 
 from conftest import dfas
+from oracle import oracle_diff
 
 
 def test_minimize_collapses_equivalent_states():
@@ -91,7 +92,23 @@ def test_distinguishing_word_is_sound(d):
                 assert d.is_accepting(d.run(w, start=p)) != d.is_accepting(d.run(w, start=q))
 
 
-def languages_equal_states(d, p, q):
-    from fdfa.core import induce
+def assert_distinguishing_words_are_shortlex_least(d):
+    for p in d.states:
+        for q in d.states:
+            # two states of an n-state machine that differ do so on a word shorter than n
+            words = oracle_diff(induce(d, p), induce(d, q), d.n_states)
+            assert distinguishing_word(d, p, q) == (words[0] if words else None), (d, p, q)
 
+
+def test_distinguishing_word_is_shortlex_least_on_every_small_machine(suite2):
+    for d in suite2:
+        assert_distinguishing_words_are_shortlex_least(d)
+
+
+@given(dfas(max_states=4, alphabet="ba"))
+def test_distinguishing_word_is_shortlex_least(d):
+    assert_distinguishing_words_are_shortlex_least(d)
+
+
+def languages_equal_states(d, p, q):
     return languages_equal(induce(d, p), induce(d, q))

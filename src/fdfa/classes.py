@@ -9,6 +9,7 @@ by a machine is its signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     AlphabetMismatchError,
@@ -29,11 +30,12 @@ class StateClassPartition:
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _by_id(self) -> dict[int, tuple[int, ...]]:
+        return {cls[0]: cls for cls in self.classes}
+
     def members(self, class_id: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if cls[0] == class_id:
-                return cls
-        raise KeyError(class_id)
+        return self._by_id[class_id]
 
 
 def finite_difference_classes(delta, accepting) -> tuple[int, ...]:

@@ -33,9 +33,13 @@ def check_alphabet(alphabet: str) -> None:
 
 def reachable_states(delta: Iterable[Iterable[int]], start: int) -> set[int]:
     """States reachable from ``start`` in a raw transition table (rows of successor ids)."""
-    rows = list(delta)
-    seen = {start}
-    queue = deque([start])
+    return _forward_closure(list(delta), (start,))
+
+
+def _forward_closure(rows, sources: Iterable[int]) -> set[int]:
+    # one breadth-first pass from all sources: every row is read at most once
+    seen = set(sources)
+    queue = deque(seen)
     while queue:
         q = queue.popleft()
         for t in rows[q]:
@@ -173,6 +177,19 @@ class Dfa:
         if missing:
             raise ValueError(f"states unreachable from start: {sorted(missing)}")
 
+    @classmethod
+    def _unchecked(cls, alphabet, start, accepting, delta, names=None) -> "Dfa":
+        """Build without ``__post_init__`` from a table derived from a valid machine.
+
+        The caller guarantees what the checks would establish: ``accepting`` is
+        a frozenset and ``delta`` a tuple of k-tuples of in-range ids, ``names``
+        a tuple or None, and every state reachable from ``start``.
+        """
+        d = object.__new__(cls)
+        d.__dict__.update(alphabet=alphabet, start=start, accepting=accepting, delta=delta,
+                          names=names)
+        return d
+
     @property
     def n_states(self) -> int:
         return len(self.delta)
@@ -222,21 +239,27 @@ def trim(alphabet, start, accepting, delta, names=None) -> tuple[Dfa, dict[int, 
     """Drop states unreachable from ``start`` and reindex densely, keeping id order.
 
     Returns the trimmed automaton and the old-id -> new-id map for the survivors.
+    The result is checked as every public :class:`Dfa` is.
     """
-    rows = [tuple(row) for row in delta]
+    d, remap = _trim(alphabet, start, accepting, [tuple(row) for row in delta], names)
+    return Dfa(d.alphabet, d.start, d.accepting, d.delta, d.names), remap
+
+
+def _trim(alphabet, start, accepting, rows, names) -> tuple[Dfa, dict[int, int]]:
+    # unchecked: the callers derive ``rows`` from a valid machine, or check the result
     keep = sorted(reachable_states(rows, start))
     remap = {old: new for new, old in enumerate(keep)}
     new_delta = tuple(tuple(remap[t] for t in rows[old]) for old in keep)
     new_accepting = frozenset(remap[q] for q in accepting if q in remap)
     new_names = tuple(names[old] for old in keep) if names is not None else None
-    return Dfa(alphabet, remap[start], new_accepting, new_delta, new_names), remap
+    return Dfa._unchecked(alphabet, remap[start], new_accepting, new_delta, new_names), remap
 
 
 def induce(d: Dfa, q: int) -> Dfa:
     """The automaton obtained by re-pointing the start at ``q`` and trimming."""
     if q not in d.states:
         raise ValueError(f"state {q} out of range")
-    dfa, _ = trim(d.alphabet, q, d.accepting, d.delta, d.names)
+    dfa, _ = _trim(d.alphabet, q, d.accepting, d.delta, d.names)
     return dfa
 
 
@@ -284,7 +307,7 @@ def product_xor(a: Dfa, b: Dfa) -> ProductDfa:
     accepting = frozenset(
         i for i, (p, q) in enumerate(pairs) if (p in acc_a) != (q in acc_b)
     )
-    dfa = Dfa(a.alphabet, 0, accepting, tuple(rows))
+    dfa = Dfa._unchecked(a.alphabet, 0, accepting, tuple(rows))
     return ProductDfa(dfa, tuple(pairs))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Dfa, induce, states_reaching, trim
+from .core import Dfa, _trim, induce, states_reaching
 from .classes import state_class_partition, states_finitely_different
 from .language import _count_words, symmetric_difference
 from .minimize import is_minimized, minimize, moore_partition
@@ -35,7 +35,7 @@ def _merge(d: Dfa, p: int, q: int) -> Dfa:
     start = remap[redirect(d.start)]
     accepting = frozenset(remap[s] for s in d.accepting if s != p)
     names = tuple(d.names[s] for s in keep) if d.names is not None else None
-    merged, _ = trim(d.alphabet, start, accepting, delta, names)
+    merged, _ = _trim(d.alphabet, start, accepting, delta, names)
     return merged
 
 
@@ -222,5 +222,5 @@ def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: i
         return d
     delta = [list(row) for row in d.delta]
     delta[source][ci] = new_target
-    redirected, _ = trim(d.alphabet, d.start, d.accepting, delta, d.names)
+    redirected, _ = _trim(d.alphabet, d.start, d.accepting, delta, d.names)
     return redirected

@@ -22,6 +22,7 @@ rendered as ``@`` wherever words appear in text.
 from __future__ import annotations
 
 import warnings
+from typing import NoReturn
 
 from .core import Dfa, Word, _lex_symbol_order, check_alphabet
 
@@ -56,20 +57,43 @@ def _parse_int(token: str, what: str, line_no: int) -> int:
         raise DfaFormatError(f"{what} is not an integer: {token!r}", line_no) from None
 
 
+def _reject_transition(line: str, line_no: int, n: int, alphabet: str) -> NoReturn:
+    """Raise for a transition line that failed, naming the first check it breaks.
+
+    The checks run in the order the format defines: field count, source
+    integer, source range, symbol, target integer, target range, duplicate.
+    """
+    fields = line.split()
+    if len(fields) != 3:
+        raise DfaFormatError(f"expected '<from> <symbol> <to>', got {line.strip()!r}", line_no)
+    src = _parse_int(fields[0], "source state", line_no)
+    if not 0 <= src < n:
+        raise DfaFormatError(f"source state {src} out of range 0..{n - 1}", line_no)
+    if fields[1] not in alphabet or len(fields[1]) != 1:
+        raise DfaFormatError(f"symbol {fields[1]!r} not in alphabet {alphabet!r}", line_no)
+    dst = _parse_int(fields[2], "target state", line_no)
+    if not 0 <= dst < n:
+        raise DfaFormatError(f"target state {dst} out of range 0..{n - 1}", line_no)
+    raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
+
+
 def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     """Parse the ``dfa v1`` format into a validated automaton.
 
     Unreachable states are dropped with a :class:`TrimWarning` and ids reindexed
     densely.  A missing transition is an error unless ``complete=True``, which
     routes every missing transition to a fresh rejecting sink before validation.
+    Each transition line is split once; the checks cost what the input holds,
+    never what ``states`` declares.
     """
-    lines = _logical_lines(text)
+    numbered = enumerate(text.splitlines(), start=1)
 
     def next_line(expect: str):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise DfaFormatError(f"unexpected end of input, expected {expect}") from None
+        for line_no, raw in numbered:
+            content = raw.split("#", 1)[0].strip()
+            if content:
+                return line_no, content
+        raise DfaFormatError(f"unexpected end of input, expected {expect}")
 
     line_no, magic = next_line("'dfa v1' header")
     if magic != "dfa v1":
@@ -114,50 +138,55 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
             accepting.add(q)
 
     k = len(alphabet)
-    table: dict[tuple[int, int], int] = {}
-    for line_no, decl in lines:
-        fields = decl.split()
-        if len(fields) != 3:
-            raise DfaFormatError(f"expected '<from> <symbol> <to>', got {decl!r}", line_no)
-        src = _parse_int(fields[0], "source state", line_no)
-        if not 0 <= src < n:
-            raise DfaFormatError(f"source state {src} out of range 0..{n - 1}", line_no)
-        if fields[1] not in alphabet or len(fields[1]) != 1:
-            raise DfaFormatError(f"symbol {fields[1]!r} not in alphabet {alphabet!r}", line_no)
-        ci = alphabet.index(fields[1])
-        dst = _parse_int(fields[2], "target state", line_no)
-        if not 0 <= dst < n:
-            raise DfaFormatError(f"target state {dst} out of range 0..{n - 1}", line_no)
-        if (src, ci) in table:
-            raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
-        table[(src, ci)] = dst
+    index = {sym: ci for ci, sym in enumerate(alphabet)}
+    table: dict[int, int] = {}  # src * k + ci -> dst
+    for line_no, line in numbered:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            s, sym, t = fields
+            src = int(s, 10)
+            key = src * k + index[sym]
+            dst = int(t, 10)
+        except (ValueError, KeyError):
+            src = -1  # _reject_transition says which check failed
+        if 0 <= src < n and 0 <= dst < n and key not in table:
+            table[key] = dst
+        else:
+            _reject_transition(line, line_no, n, alphabet)
 
-    # every check below costs what the input holds, never what ``states`` declares
     missing = n * k - len(table)
     sink = n
     if missing:
         if not complete:
-            q, ci = next((q, ci) for q in range(n) for ci in range(k) if (q, ci) not in table)
+            q, ci = next((q, ci) for q in range(n) for ci in range(k) if q * k + ci not in table)
             raise DfaFormatError(
                 f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
                 f" ({missing} missing in total)"
             )
         n += 1
         for ci in range(k):
-            table[(sink, ci)] = sink
+            table[sink * k + ci] = sink
 
     # rows exist only for states reachable from the start; missing transitions go to the sink
-    rows = {start: tuple(table.get((start, ci), sink) for ci in range(k))}
+    symbols = range(k)
+    rows = {start: tuple([table.get(start * k + ci, sink) for ci in symbols])}
     queue = [start]
     for q in queue:
         for t in rows[q]:
             if t not in rows:
-                rows[t] = tuple(table.get((t, ci), sink) for ci in range(k))
+                base = t * k
+                rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
                 queue.append(t)
-    if len(rows) < n:
-        dropped = n - len(rows)
-        plural = "" if dropped == 1 else "s"
-        warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
+    if len(rows) == n:
+        # every declared state is reachable, so the ids are already dense
+        return Dfa(alphabet, start, frozenset(accepting), tuple([rows[q] for q in range(n)]))
+    dropped = n - len(rows)
+    plural = "" if dropped == 1 else "s"
+    warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
     # reindex densely, keeping id order among the survivors as :func:`trim` does
     keep = sorted(rows)
     new_id = {old: new for new, old in enumerate(keep)}

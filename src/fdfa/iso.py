@@ -123,9 +123,12 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
         raise AssertionError("finite parts have different sizes; this is a bug")
     class_of = finite_difference_classes(*disjoint_union(a, b))
     n = a.n_states
+    fin_b_by_class: dict[int, list[int]] = {}
+    for r in fin_b:
+        fin_b_by_class.setdefault(class_of[n + r], []).append(r)
     mapping = []
     for p in fin_a:
-        partners = [r for r in fin_b if class_of[n + r] == class_of[p]]
+        partners = fin_b_by_class.get(class_of[p], [])
         if len(partners) != 1:
             raise AssertionError(
                 f"state {p} has {len(partners)} class partners, expected exactly one; this is a bug"

@@ -81,8 +81,8 @@ def minimize_with_map(d: Dfa) -> tuple[Dfa, tuple[int, ...]]:
             accepting.add(i)
         if names is not None:
             names[i] = d.names[r]
-    quotient = Dfa(d.alphabet, 0, frozenset(accepting), tuple(delta),
-                   tuple(names) if names is not None else None)
+    quotient = Dfa._unchecked(d.alphabet, 0, frozenset(accepting), tuple(delta),
+                              tuple(names) if names is not None else None)
     return quotient, tuple(new_id[block_of[q]] for q in range(d.n_states))
 
 

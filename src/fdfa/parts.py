@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, reachable_states, states_on_cycles, states_reaching
+from .core import Dfa, Word, _forward_closure, states_on_cycles, states_reaching
 from .language import _list_words
 
 
@@ -21,11 +21,7 @@ class PartsPartition:
 
 def compute_parts(d: Dfa) -> PartsPartition:
     """Split states by cycle reachability: infinite = forward closure of on-cycle states."""
-    on_cycle = states_on_cycles(d.delta)
-    infinite: set[int] = set()
-    for q in on_cycle:
-        if q not in infinite:
-            infinite |= reachable_states(d.delta, q)
+    infinite = _forward_closure(d.delta, states_on_cycles(d.delta))
     finite = frozenset(set(d.states) - infinite)
     return PartsPartition(finite, frozenset(infinite))
 

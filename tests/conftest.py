@@ -36,3 +36,13 @@ def sigma_upto(m, alphabet="01"):
     sink = m + 1
     delta = tuple((min(q + 1, sink),) * len(alphabet) for q in range(m + 2))
     return Dfa(alphabet, 0, frozenset(range(m + 1)), delta)
+
+
+def reversed_loop_chain(n, alphabet="01"):
+    """State q loops on the first symbol and steps down to q - 1 on the others.
+
+    The start is the top state n - 1 and state 0 loops on every symbol, so every
+    state is on a cycle and state q reaches exactly the states 0..q.
+    """
+    delta = tuple((q,) + (max(q - 1, 0),) * (len(alphabet) - 1) for q in range(n))
+    return Dfa(alphabet, n - 1, frozenset({0}), delta)

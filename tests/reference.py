@@ -2,17 +2,21 @@
 
 Each one reaches the same answer as a runtime procedure by a different route:
 the parts by layered counting instead of cycle reachability, finiteness by the
-shape of the minimal machine instead of cycle analysis, and the infinite-part
-isomorphism through long representative words instead of one Moore partition.
+shape of the minimal machine instead of cycle analysis, the infinite-part
+isomorphism through long representative words instead of one Moore partition,
+and the ``dfa v1`` reader as a per-token parse of each logical line keyed by
+(state, symbol) pairs instead of one tokenization per line keyed by ints.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from fdfa.core import (
     Dfa,
     Word,
+    check_alphabet,
     induce,
     product_xor,
     reachable_states,
@@ -20,6 +24,7 @@ from fdfa.core import (
     shortest_word_to,
     states_on_cycles,
 )
+from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, _require_minimized, verify_bijection
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
@@ -115,3 +120,112 @@ def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, Representa
     if not ok:
         raise AssertionError(f"representative map fails verification ({reason}); this is a bug")
     return bij, RepresentativeAssignment(threshold, tuple(reps))
+
+
+def parse_dfa_by_lines(text: str, *, complete: bool = False) -> Dfa:
+    """Parse the ``dfa v1`` format into a validated automaton.
+
+    Unreachable states are dropped with a :class:`TrimWarning` and ids reindexed
+    densely.  A missing transition is an error unless ``complete=True``, which
+    routes every missing transition to a fresh rejecting sink before validation.
+    """
+    lines = _logical_lines(text)
+
+    def next_line(expect: str):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise DfaFormatError(f"unexpected end of input, expected {expect}") from None
+
+    line_no, magic = next_line("'dfa v1' header")
+    if magic != "dfa v1":
+        raise DfaFormatError(f"expected 'dfa v1' header, got {magic!r}", line_no)
+
+    line_no, decl = next_line("alphabet line")
+    fields = decl.split()
+    if len(fields) != 2 or fields[0] != "alphabet":
+        raise DfaFormatError("expected 'alphabet <symbols>'", line_no)
+    alphabet = fields[1]
+    try:
+        check_alphabet(alphabet)
+    except ValueError as exc:
+        raise DfaFormatError(str(exc), line_no) from None
+
+    line_no, decl = next_line("states line")
+    fields = decl.split()
+    if len(fields) != 2 or fields[0] != "states":
+        raise DfaFormatError("expected 'states <count>'", line_no)
+    n = _parse_int(fields[1], "state count", line_no)
+    if n < 1:
+        raise DfaFormatError(f"state count must be positive, got {n}", line_no)
+
+    line_no, decl = next_line("start line")
+    fields = decl.split()
+    if len(fields) != 2 or fields[0] != "start":
+        raise DfaFormatError("expected 'start <id>'", line_no)
+    start = _parse_int(fields[1], "start state", line_no)
+    if not 0 <= start < n:
+        raise DfaFormatError(f"start state {start} out of range 0..{n - 1}", line_no)
+
+    line_no, decl = next_line("accept line")
+    fields = decl.split()
+    if len(fields) < 2 or fields[0] != "accept":
+        raise DfaFormatError("expected 'accept <ids>' or 'accept -'", line_no)
+    accepting: set[int] = set()
+    if fields[1:] != ["-"]:
+        for token in fields[1:]:
+            q = _parse_int(token, "accepting state", line_no)
+            if not 0 <= q < n:
+                raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
+            accepting.add(q)
+
+    k = len(alphabet)
+    table: dict[tuple[int, int], int] = {}
+    for line_no, decl in lines:
+        fields = decl.split()
+        if len(fields) != 3:
+            raise DfaFormatError(f"expected '<from> <symbol> <to>', got {decl!r}", line_no)
+        src = _parse_int(fields[0], "source state", line_no)
+        if not 0 <= src < n:
+            raise DfaFormatError(f"source state {src} out of range 0..{n - 1}", line_no)
+        if fields[1] not in alphabet or len(fields[1]) != 1:
+            raise DfaFormatError(f"symbol {fields[1]!r} not in alphabet {alphabet!r}", line_no)
+        ci = alphabet.index(fields[1])
+        dst = _parse_int(fields[2], "target state", line_no)
+        if not 0 <= dst < n:
+            raise DfaFormatError(f"target state {dst} out of range 0..{n - 1}", line_no)
+        if (src, ci) in table:
+            raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
+        table[(src, ci)] = dst
+
+    # every check below costs what the input holds, never what ``states`` declares
+    missing = n * k - len(table)
+    sink = n
+    if missing:
+        if not complete:
+            q, ci = next((q, ci) for q in range(n) for ci in range(k) if (q, ci) not in table)
+            raise DfaFormatError(
+                f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
+                f" ({missing} missing in total)"
+            )
+        n += 1
+        for ci in range(k):
+            table[(sink, ci)] = sink
+
+    # rows exist only for states reachable from the start; missing transitions go to the sink
+    rows = {start: tuple(table.get((start, ci), sink) for ci in range(k))}
+    queue = [start]
+    for q in queue:
+        for t in rows[q]:
+            if t not in rows:
+                rows[t] = tuple(table.get((t, ci), sink) for ci in range(k))
+                queue.append(t)
+    if len(rows) < n:
+        dropped = n - len(rows)
+        plural = "" if dropped == 1 else "s"
+        warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
+    # reindex densely, keeping id order among the survivors as :func:`trim` does
+    keep = sorted(rows)
+    new_id = {old: new for new, old in enumerate(keep)}
+    delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
+    return Dfa(alphabet, new_id[start], frozenset(new_id[q] for q in accepting if q in new_id), delta)

@@ -14,6 +14,10 @@ from fdfa.core import (
     strongly_connected_components,
     trim,
 )
+from fdfa.classes import state_class_partition
+from fdfa.fmin import f_minimize, redirect_boundary_transition
+from fdfa.minimize import minimize_with_map
+from fdfa.parts import compute_parts
 
 from conftest import dfas
 
@@ -141,3 +145,50 @@ def test_symbol_index():
     assert d.symbol_index("1") == 1
     with pytest.raises(ValueError):
         d.symbol_index("x")
+
+
+def derived_machines(d):
+    """Every machine the library builds from ``d`` without checking it again."""
+    yield minimize_with_map(d)[0]
+    smallest, trace = f_minimize(d)
+    yield smallest
+    for record in trace:
+        yield record.after
+    for q in d.states:
+        yield induce(d, q)
+        yield product_xor(d, induce(d, q)).dfa
+    parts = compute_parts(d)
+    class_of = state_class_partition(d).class_of
+    for src in sorted(parts.finite):
+        for sym, old in zip(d.alphabet, d.delta[src]):
+            if old not in parts.infinite:
+                continue
+            for new in sorted(parts.infinite - {old}):
+                if class_of[new] == class_of[old]:
+                    yield redirect_boundary_transition(d, src, sym, new)
+
+
+def assert_passes_the_checks(m):
+    assert type(m.accepting) is frozenset
+    assert type(m.delta) is tuple and all(type(row) is tuple for row in m.delta)
+    checked = Dfa(m.alphabet, m.start, m.accepting, m.delta, m.names)
+    assert checked == m
+    assert checked.names == m.names
+
+
+@given(dfas(max_states=5, alphabet="012"))
+def test_derived_machines_pass_the_checks_they_skip(d):
+    for m in derived_machines(d):
+        assert_passes_the_checks(m)
+
+
+def test_derived_machines_of_every_small_machine_pass_the_checks(suite3):
+    named = (
+        fixtures.onezstar(),
+        fixtures.odd_length(),
+        Dfa("01", 0, {1}, ((1, 2), (2, 2), (2, 2)), names=("s", "a", "sink")),  # two merges
+        Dfa("01", 0, {2, 3}, ((1, 3), (2, 4), (2, 4), (1, 3), (4, 4)), names=tuple("abcde")),
+    )
+    for d in suite3 + named:
+        for m in derived_machines(d):
+            assert_passes_the_checks(m)

@@ -2,7 +2,8 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdfa import fixtures
 from fdfa.core import Dfa
@@ -18,6 +19,7 @@ from fdfa.formats import (
 )
 
 from conftest import dfas
+from reference import parse_dfa_by_lines
 
 ZSTAR_TEXT = """dfa v1
 alphabet 01
@@ -165,3 +167,73 @@ def test_serialization_has_no_warnings_for_clean_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_dfa(ZSTAR_TEXT)
+
+
+# tokens int() accepts that a digit-only reader would not, ids out of range,
+# non-ASCII digits and symbols of more than one character
+ODD_TOKENS = ("+1", "1_0", "-1", "007", "9", "\u0661", "\uff11", "\u00b2", "0x1", "01", "ab", "\u00e9")
+BAD_HEADERS = ("dfa  v1", "dfa v2", "DFA v1", "dfa", "dfa v1 x")
+
+
+@st.composite
+def dfa_texts(draw):
+    """``dfa v1`` text of a complete table, reshuffled, decorated and often mutated.
+
+    The table may leave states unreachable, which the parsers trim with a warning.
+    """
+    alphabet = draw(st.sampled_from(["01", "012", "ab"]))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    accepting = " ".join(str(q) for q in range(n) if draw(st.booleans())) or "-"
+    lines = ["dfa v1", f"alphabet {alphabet}", f"states {n}", f"start {draw(state)}",
+             f"accept {accepting}"]
+    lines += draw(st.permutations([f"{q} {sym} {draw(state)}" for q in range(n) for sym in alphabet]))
+    ids = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(ODD_TOKENS))
+    symbols = st.one_of(st.sampled_from(alphabet), st.sampled_from(ODD_TOKENS))
+    transition = st.tuples(ids, symbols, ids).map(" ".join)
+    wrong_count = st.sampled_from([2, 4]).flatmap(lambda k: st.lists(ids, min_size=k, max_size=k))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([
+            "transition", "drop", "duplicate", "transition", "fields", "states"]))
+        if kind == "states":
+            # declared states nothing leads to: missing rows, or unreachable ones
+            lines[2] = f"states {n + draw(st.integers(1, 3))}"
+        elif kind in ("drop", "duplicate"):
+            i = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))  # shrinks off the header
+            if kind == "drop":
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+        else:
+            i = draw(st.integers(5, len(lines)))
+            line = draw(transition) if kind == "transition" else " ".join(draw(wrong_count))
+            lines[i:i + draw(st.integers(0, 1))] = [line]
+    if draw(st.integers(0, 9)) == 9:
+        lines[0] = draw(st.sampled_from(BAD_HEADERS))
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 5)) == 5:
+            out.append(draw(st.sampled_from(["", "   ", "# a comment", "\t# indented comment"])))
+        if line != lines[0]:
+            line = draw(st.sampled_from([" ", "  ", "\t"])).join(line.split())
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        note = draw(st.sampled_from(["", "", "# note", " #x 1 2"]))
+        out.append(pad + line + pad + note)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + "\n"
+
+
+def parse_outcome(parse, text, complete):
+    """The machine or the error text, and the warning messages, of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, complete=complete)
+        except DfaFormatError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=400, deadline=None)
+@given(dfa_texts(), st.booleans())
+def test_parser_matches_the_line_by_line_reference(text, complete):
+    assert parse_outcome(parse_dfa, text, complete) == parse_outcome(parse_dfa_by_lines, text, complete)

@@ -7,7 +7,7 @@ from fdfa.core import Dfa
 from fdfa.language import enumerate_finite_language
 from fdfa.parts import compute_parts, words_reaching
 
-from conftest import dfas
+from conftest import dfas, reversed_loop_chain
 from reference import compute_parts_by_counting
 
 
@@ -76,3 +76,36 @@ def test_words_reaching_lists_the_language_accepted_at_the_state(d):
 def test_words_reaching_rejects_infinite_part_state():
     with pytest.raises(ValueError, match="infinite part"):
         words_reaching(fixtures.onezstar(), 1)
+
+
+class RowReads(tuple):
+    """A transition table that counts the rows read and fails past a budget."""
+
+    def __new__(cls, rows, budget):
+        table = super().__new__(cls, rows)
+        table.reads, table.budget = 0, budget
+        return table
+
+    def _read(self):
+        self.reads += 1
+        if self.reads > self.budget:
+            raise AssertionError(f"more than {self.budget} row reads")
+
+    def __getitem__(self, i):
+        self._read()
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self._read()
+            yield row
+
+
+def test_compute_parts_reads_each_row_a_bounded_number_of_times():
+    # one closure per on-cycle state reads the reversed chain n^2 / 2 times
+    n = 20_000
+    d = reversed_loop_chain(n)
+    object.__setattr__(d, "delta", RowReads(d.delta, budget=3 * n))
+    parts = compute_parts(d)
+    assert parts.infinite == frozenset(range(n))
+    assert parts.finite == frozenset()

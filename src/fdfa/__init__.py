@@ -13,7 +13,6 @@ from .classes import (
     class_matching,
     cross_finitely_different,
     dfas_finitely_different,
-    signature_equal,
     state_class_partition,
     states_finitely_different,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "serialize_word_list",
     "shortest_cycle_word",
     "shortest_word_to",
-    "signature_equal",
     "state_class_partition",
     "states_finitely_different",
     "symmetric_difference",

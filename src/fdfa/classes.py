@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (
-    AlphabetMismatchError,
-    Dfa,
-    disjoint_union,
-    induce,
-    states_on_cycles,
-    states_reaching,
-)
+from .core import AlphabetMismatchError, Dfa, disjoint_union, induce
 from .language import Classification, symmetric_difference
 from .minimize import moore_blocks
 
@@ -41,12 +34,15 @@ class StateClassPartition:
 def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     """The ~ class of every state of a raw transition table, as its smallest member.
 
-    Decides every pair at once on the pair graph of the b Moore blocks
-    (Badr, Geffert & Shipman, RAIRO-ITA 2009): its nodes are the ordered pairs
-    (x, y) of distinct blocks, and each symbol leads to (δx, δy) unless both
-    successors share a block.  Every node has a non-empty difference, so the
-    difference from (x, y) is infinite exactly when a cycle is reachable from
-    it.  O(k·b²) time for k symbols.
+    Works on the b Moore blocks, where no two blocks have equal languages.
+    There two blocks are ~ exactly when repeatedly merging blocks with equal
+    successor vectors, acceptance ignored, puts them in one group (Holzer &
+    Maletti, "An n log n algorithm for hyper-minimizing a (minimized)
+    deterministic automaton", TCS 2010, Alg. 2).  A merge redirects the edges
+    into the merged block to the survivor and requeues their sources.  Merging
+    the block with fewer predecessors into the other moves each predecessor
+    entry O(log b) times, so the pass costs O(k²·b log b) for k symbols after
+    Moore refinement, and it builds no table of block pairs.
     """
     part = moore_blocks(delta, accepting)
     block_of, b = part.block_of, part.n_blocks
@@ -54,20 +50,37 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     for q, x in enumerate(block_of):
         if succ[x] is None:
             succ[x] = [block_of[t] for t in delta[q]]
-    rows = []
-    for x in range(b):
-        for y in range(b):
-            # node x*b + y; diagonal nodes stay isolated
-            rows.append(() if x == y else
-                        tuple(u * b + v for u, v in zip(succ[x], succ[y]) if u != v))
-    infinite = states_reaching(rows, states_on_cycles(rows))
-    # ~ is an equivalence: each block joins the first earlier class it is ~ to
+    preds: list[list[int]] = [[] for _ in range(b)]
+    for x, row in enumerate(succ):
+        for y in set(row):
+            preds[y].append(x)
+    alive = [True] * b
+    # rows hold only live blocks, so a key of live blocks names the live block
+    # whose row it is; a key that holds a merged block is stale and unused
+    holder: dict[tuple[int, ...], int] = {}
+    merges: list[tuple[int, int]] = []
+    work = list(range(b))
+    while work:
+        x = work.pop()
+        if not alive[x]:
+            continue
+        key = tuple(succ[x])
+        y = holder.setdefault(key, x)
+        if y == x:
+            continue
+        if len(preds[x]) > len(preds[y]):
+            x, y = y, x
+        alive[x] = False
+        holder[key] = y
+        merges.append((x, y))
+        for r in preds[x]:
+            if alive[r]:
+                succ[r] = [y if t == x else t for t in succ[r]]
+                work.append(r)
+        preds[y] += preds[x]
     leader = list(range(b))
-    for x in range(b):
-        for y in range(x):
-            if leader[y] == y and x * b + y not in infinite:
-                leader[x] = y
-                break
+    for x, y in reversed(merges):
+        leader[x] = leader[y]
     smallest: dict[int, int] = {}
     for q, x in enumerate(block_of):
         smallest.setdefault(leader[x], q)
@@ -122,11 +135,6 @@ def class_matching(a: Dfa, b: Dfa) -> dict[int, int] | None:
     if a_ids != b_id.keys():
         return None
     return {cid: b_id[cid] for cid in sorted(a_ids)}
-
-
-def signature_equal(a: Dfa, b: Dfa) -> bool:
-    """Do the two machines touch exactly the same ~ classes of languages?"""
-    return class_matching(a, b) is not None
 
 
 def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, Classification]:

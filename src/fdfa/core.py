@@ -179,7 +179,8 @@ class Dfa:
 
     @classmethod
     def _unchecked(cls, alphabet, start, accepting, delta, names=None) -> "Dfa":
-        """Build without ``__post_init__`` from a table derived from a valid machine.
+        """Build without ``__post_init__`` from a table derived from a valid machine
+        or already checked by :func:`fdfa.formats.parse_dfa`.
 
         The caller guarantees what the checks would establish: ``accepting`` is
         a frozenset and ``delta`` a tuple of k-tuples of in-range ids, ``names``

@@ -181,9 +181,11 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
                 base = t * k
                 rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
                 queue.append(t)
+    # the checks above and this search establish everything Dfa.__post_init__ checks
     if len(rows) == n:
         # every declared state is reachable, so the ids are already dense
-        return Dfa(alphabet, start, frozenset(accepting), tuple([rows[q] for q in range(n)]))
+        delta = tuple([rows[q] for q in range(n)])
+        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta)
     dropped = n - len(rows)
     plural = "" if dropped == 1 else "s"
     warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
@@ -191,7 +193,8 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     keep = sorted(rows)
     new_id = {old: new for new, old in enumerate(keep)}
     delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
-    return Dfa(alphabet, new_id[start], frozenset(new_id[q] for q in accepting if q in new_id), delta)
+    return Dfa._unchecked(alphabet, new_id[start],
+                          frozenset(new_id[q] for q in accepting if q in new_id), delta)
 
 
 def serialize_dfa(d: Dfa) -> str:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -46,3 +48,51 @@ def reversed_loop_chain(n, alphabet="01"):
     """
     delta = tuple((q,) + (max(q - 1, 0),) * (len(alphabet) - 1) for q in range(n))
     return Dfa(alphabet, n - 1, frozenset({0}), delta)
+
+
+def acyclic_prefix_table(n, seed, alphabet="01"):
+    """A random machine on n states whose first half only steps to higher ids.
+
+    The second half is a random table on itself.  A random spanning tree, each
+    state hung under an earlier one, makes every state reachable from 0.
+    """
+    rng = random.Random(seed)
+    k, half = len(alphabet), n // 2
+    delta = [[None] * k for _ in range(n)]
+    free = [(0, ci) for ci in range(k)]
+    for q in range(1, n):
+        i = rng.randrange(len(free))
+        free[i], free[-1] = free[-1], free[i]
+        p, ci = free.pop()
+        delta[p][ci] = q
+        free += [(q, ci) for ci in range(k)]
+    for q, row in enumerate(delta):
+        low = q + 1 if q < half else half
+        for ci, t in enumerate(row):
+            if t is None:
+                row[ci] = rng.randrange(low, n)
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+    return Dfa(alphabet, 0, accepting, tuple(map(tuple, delta)))
+
+
+def trie_on_kernel(n_words, max_len, kernel, seed, alphabet="01"):
+    """The trie of random words, whose missing edges enter a small random kernel.
+
+    Trie nodes come first, numbered as their prefixes are first met, and the
+    drawn words accept.  The first symbol steps around the kernel in a cycle,
+    so the kernel is strongly connected; a trie leaf leads into it.
+    """
+    rng = random.Random(seed)
+    words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+             for _ in range(n_words)]
+    node_of = {"": 0}
+    for w in words:
+        for i in range(1, len(w) + 1):
+            node_of.setdefault(w[:i], len(node_of))
+    t = len(node_of)
+    delta = [tuple(node_of.get(w + a, t + rng.randrange(kernel)) for a in alphabet)
+             for w in node_of]
+    delta += [tuple(t + ((q + 1) % kernel if ci == 0 else rng.randrange(kernel))
+                    for ci in range(len(alphabet))) for q in range(kernel)]
+    accepting = {node_of[w] for w in words} | {t + q for q in range(kernel) if rng.random() < 0.5}
+    return Dfa(alphabet, 0, frozenset(accepting), tuple(delta))

@@ -2,10 +2,13 @@
 
 Each one reaches the same answer as a runtime procedure by a different route:
 the parts by layered counting instead of cycle reachability, finiteness by the
-shape of the minimal machine instead of cycle analysis, the infinite-part
-isomorphism through long representative words instead of one Moore partition,
-and the ``dfa v1`` reader as a per-token parse of each logical line keyed by
-(state, symbol) pairs instead of one tokenization per line keyed by ints.
+shape of the minimal machine instead of cycle analysis, the ~ classes by cycle
+reachability in the graph of block pairs instead of merging blocks with equal
+successor vectors, the infinite-part isomorphism through long representative
+words instead of one Moore partition, and the ``dfa v1`` reader as a per-token
+parse of each logical line keyed by (state, symbol) pairs instead of one
+tokenization per line keyed by ints.  ``signature_equal``, a verdict only the
+tests ask for, lives here as well.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from fdfa.classes import class_matching
 from fdfa.core import (
     Dfa,
     Word,
@@ -23,11 +27,12 @@ from fdfa.core import (
     shortest_cycle_word,
     shortest_word_to,
     states_on_cycles,
+    states_reaching,
 )
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, _require_minimized, verify_bijection
 from fdfa.language import symmetric_difference
-from fdfa.minimize import minimize
+from fdfa.minimize import minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
 
 
@@ -67,6 +72,47 @@ def states_finitely_different_by_shape(d: Dfa, p: int, q: int) -> bool:
             raise ValueError(f"state {s} out of range")
     prod = product_xor(induce(d, p), induce(d, q))
     return finite_language_by_minimization(prod.dfa)
+
+
+def finite_difference_classes_by_pair_graph(delta, accepting) -> tuple[int, ...]:
+    """The ~ class of every state of a raw transition table, as its smallest member.
+
+    Decides every pair at once on the pair graph of the b Moore blocks
+    (Badr, Geffert & Shipman, RAIRO-ITA 2009): its nodes are the ordered pairs
+    (x, y) of distinct blocks, and each symbol leads to (δx, δy) unless both
+    successors share a block.  Every node has a non-empty difference, so the
+    difference from (x, y) is infinite exactly when a cycle is reachable from
+    it.  O(k·b²) time for k symbols.
+    """
+    part = moore_blocks(delta, accepting)
+    block_of, b = part.block_of, part.n_blocks
+    succ: list[list[int] | None] = [None] * b
+    for q, x in enumerate(block_of):
+        if succ[x] is None:
+            succ[x] = [block_of[t] for t in delta[q]]
+    rows = []
+    for x in range(b):
+        for y in range(b):
+            # node x*b + y; diagonal nodes stay isolated
+            rows.append(() if x == y else
+                        tuple(u * b + v for u, v in zip(succ[x], succ[y]) if u != v))
+    infinite = states_reaching(rows, states_on_cycles(rows))
+    # ~ is an equivalence: each block joins the first earlier class it is ~ to
+    leader = list(range(b))
+    for x in range(b):
+        for y in range(x):
+            if leader[y] == y and x * b + y not in infinite:
+                leader[x] = y
+                break
+    smallest: dict[int, int] = {}
+    for q, x in enumerate(block_of):
+        smallest.setdefault(leader[x], q)
+    return tuple(smallest[leader[x]] for x in block_of)
+
+
+def signature_equal(a: Dfa, b: Dfa) -> bool:
+    """Do the two machines touch exactly the same ~ classes of languages?"""
+    return class_matching(a, b) is not None
 
 
 @dataclass(frozen=True)

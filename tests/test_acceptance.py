@@ -13,11 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from fdfa import fixtures
-from fdfa.classes import (
-    dfas_finitely_different,
-    signature_equal,
-    states_finitely_different,
-)
+from fdfa.classes import dfas_finitely_different, states_finitely_different
 from fdfa.construct import construct_pair
 from fdfa.fmin import (
     FMergeError,
@@ -34,7 +30,7 @@ from fdfa.parts import compute_parts
 from fdfa.rand import Lcg, random_dfa
 
 from oracle import oracle_diff, oracle_is_f_minimal
-from reference import compute_parts_by_counting, states_finitely_different_by_shape
+from reference import compute_parts_by_counting, signature_equal, states_finitely_different_by_shape
 
 
 @contextmanager

@@ -1,30 +1,37 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdfa import fixtures
 from fdfa.classes import (
     class_matching,
     cross_finitely_different,
     dfas_finitely_different,
-    signature_equal,
+    finite_difference_classes,
     state_class_partition,
     states_finitely_different,
 )
-from fdfa.core import AlphabetMismatchError, Dfa, induce
+from fdfa.core import AlphabetMismatchError, Dfa, disjoint_union, induce
 from fdfa.iso import infinite_part_iso
 from fdfa.language import languages_equal, symmetric_difference
 from fdfa.minimize import minimize
 from fdfa.parts import compute_parts
 from fdfa.rand import random_dfa
 
-from conftest import dfas, sigma_upto
-from reference import finite_language_by_minimization, states_finitely_different_by_shape
+from conftest import acyclic_prefix_table, dfas, sigma_upto, trie_on_kernel
+from reference import (
+    finite_difference_classes_by_pair_graph,
+    finite_language_by_minimization,
+    signature_equal,
+    states_finitely_different_by_shape,
+)
 
 
-# The per-pair procedures below are the reference the pair-graph engine is
-# checked against: one product of induced machines for every pair of states.
+# The per-pair procedures below are a reference the ~ engine is checked
+# against: one product of induced machines for every pair of states.
 
 
 def pair_verdicts(d):
@@ -211,3 +218,56 @@ def test_infinite_part_iso_agrees_with_per_pair_equality():
 @settings(max_examples=40)
 def test_machine_difference_is_symmetric(a, b):
     assert dfas_finitely_different(a, b)[0] == dfas_finitely_different(b, a)[0]
+
+
+# The engine against the pair graph it replaced, which decides every pair of
+# Moore blocks by cycle reachability.
+
+
+def assert_engine_matches_pair_graph(delta, accepting):
+    got = finite_difference_classes(delta, accepting)
+    assert got == finite_difference_classes_by_pair_graph(delta, accepting), (delta, accepting)
+
+
+@st.composite
+def raw_tables(draw, max_states=10):
+    """A transition table over 1-3 symbols and its accepting set; any state may be unreachable."""
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, 3))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
+    return delta, frozenset(q for q in range(n) if draw(st.booleans()))
+
+
+def test_engine_matches_the_pair_graph_on_every_small_machine(suite3):
+    for d in suite3:
+        assert_engine_matches_pair_graph(d.delta, d.accepting)
+
+
+@given(raw_tables())
+@settings(max_examples=300)
+def test_engine_matches_the_pair_graph_on_raw_tables(table):
+    assert_engine_matches_pair_graph(*table)
+
+
+@given(dfas(max_states=5), dfas(max_states=5))
+@settings(max_examples=100)
+def test_engine_matches_the_pair_graph_across_two_machines(a, b):
+    assert_engine_matches_pair_graph(*disjoint_union(a, b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_matches_the_pair_graph_on_tries_over_a_kernel(seed):
+    d = trie_on_kernel(120, 9, 3, seed)
+    assert_engine_matches_pair_graph(d.delta, d.accepting)
+
+
+def test_classes_of_a_2000_state_acyclic_prefix_table_fit_in_10_mb():
+    d = acyclic_prefix_table(2000, 1)
+    tracemalloc.start()
+    try:
+        part = state_class_partition(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(part.class_of) == 2000
+    assert peak < 10_000_000

@@ -237,3 +237,10 @@ def parse_outcome(parse, text, complete):
 @given(dfa_texts(), st.booleans())
 def test_parser_matches_the_line_by_line_reference(text, complete):
     assert parse_outcome(parse_dfa, text, complete) == parse_outcome(parse_dfa_by_lines, text, complete)
+    m, _ = parse_outcome(parse_dfa, text, complete)
+    if isinstance(m, Dfa):
+        # parse_dfa skips the Dfa checks, so its machine must pass them
+        checked = Dfa(m.alphabet, m.start, m.accepting, m.delta)
+        assert checked == m
+        assert type(m.accepting) is frozenset
+        assert type(m.delta) is tuple and all(type(row) is tuple for row in m.delta)

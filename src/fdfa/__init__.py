@@ -8,14 +8,7 @@ class, builds the isomorphisms that relate such machines, and constructs
 machine pairs realizing any chosen finite difference.
 """
 
-from .classes import (
-    StateClassPartition,
-    class_matching,
-    cross_finitely_different,
-    dfas_finitely_different,
-    state_class_partition,
-    states_finitely_different,
-)
+from .classes import StateClassPartition, class_matching, state_class_partition
 from .construct import ConstructionSpec, construct_pair
 from .core import (
     AlphabetMismatchError,
@@ -90,8 +83,6 @@ __all__ = [
     "classify_language",
     "compute_parts",
     "construct_pair",
-    "cross_finitely_different",
-    "dfas_finitely_different",
     "distinguishing_word",
     "enumerate_finite_language",
     "f_merge",
@@ -116,7 +107,6 @@ __all__ = [
     "shortest_cycle_word",
     "shortest_word_to",
     "state_class_partition",
-    "states_finitely_different",
     "symmetric_difference",
     "verify_bijection",
     "words_reaching",

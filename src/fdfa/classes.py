@@ -1,4 +1,4 @@
-"""Finite-difference structure: state-classes, machine signatures, machine-level verdicts.
+"""Finite-difference structure: state-classes and their matching across machines.
 
 Two states are finitely different (written p ~ q) when the languages accepted
 from them differ on only finitely many words.  ~ is an equivalence; its classes
@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import AlphabetMismatchError, Dfa, disjoint_union, induce
-from .language import Classification, symmetric_difference
+from .core import Dfa, disjoint_union
 from .minimize import moore_blocks
 
 
@@ -55,7 +54,7 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
         for y in set(row):
             preds[y].append(x)
     alive = [True] * b
-    # rows hold only live blocks, so a key of live blocks names the live block
+    # rows hold only live blocks, so a key of live blocks maps to the live block
     # whose row it is; a key that holds a merged block is stale and unused
     holder: dict[tuple[int, ...], int] = {}
     merges: list[tuple[int, int]] = []
@@ -87,32 +86,6 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     return tuple(smallest[leader[x]] for x in block_of)
 
 
-def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, Classification]:
-    """Decide p ~ q inside one machine; the Classification gives words or a lasso.
-
-    This is the witness API: it builds the product of the two induced machines
-    and classifies it; the words or the lasso are built when read.  For the
-    verdicts of many pairs use :func:`state_class_partition`.
-    """
-    for s in (p, q):
-        if s not in d.states:
-            raise ValueError(f"state {s} out of range")
-    diff = symmetric_difference(induce(d, p), induce(d, q))
-    return diff.finite, diff
-
-
-def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, Classification]:
-    """Decide p ~ q for states of two different machines over one alphabet (witness API)."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
-    if p not in a.states:
-        raise ValueError(f"state {p} out of range")
-    if q not in b.states:
-        raise ValueError(f"state {q} out of range")
-    diff = symmetric_difference(induce(a, p), induce(b, q))
-    return diff.finite, diff
-
-
 def state_class_partition(d: Dfa) -> StateClassPartition:
     """Group the states of ``d`` into ~ classes."""
     class_of = finite_difference_classes(d.delta, d.accepting)
@@ -135,13 +108,3 @@ def class_matching(a: Dfa, b: Dfa) -> dict[int, int] | None:
     if a_ids != b_id.keys():
         return None
     return {cid: b_id[cid] for cid in sorted(a_ids)}
-
-
-def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, Classification]:
-    """Machine-level ~: do L(a) and L(b) differ on only finitely many words?
-
-    The Classification lists the words of a finite difference, or builds the
-    lasso of an infinite one, when they are read.
-    """
-    diff = symmetric_difference(a, b)
-    return diff.finite, diff

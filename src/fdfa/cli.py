@@ -13,7 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .classes import dfas_finitely_different, state_class_partition
+from .classes import state_class_partition
 from .construct import construct_pair
 from .core import Dfa
 from .fmin import f_minimize
@@ -115,8 +115,8 @@ def _cmd_classes(args) -> int:
 def _cmd_diff(args) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    verdict, diff = dfas_finitely_different(a, b)
-    if verdict:
+    diff = symmetric_difference(a, b)
+    if diff.finite:
         print(f"finite {len(diff.words)}")
         sys.stdout.writelines(format_word(w) + "\n" for w in diff.words)
         return 0

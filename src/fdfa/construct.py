@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Dfa, Word, check_alphabet
-from .formats import format_word
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,9 @@ class ConstructionSpec:
 
         n_states = 2 * len(prefixes)
         delta = [None] * n_states
-        names = [""] * n_states
         for w in prefixes:
             for copy in (0, 1):
                 sid = state_id(w, copy)
-                names[sid] = f"({format_word(w)},{copy})"
                 row = []
                 for sym in self.alphabet:
                     grown = w + sym
@@ -70,8 +67,8 @@ class ConstructionSpec:
                 delta[sid] = tuple(row)
         member = set(self.words)
         accepting = frozenset(state_id(w, 1) for w in prefixes if w in member)
-        left = Dfa(self.alphabet, state_id("", 0), accepting, tuple(delta), tuple(names))
-        right = Dfa(self.alphabet, state_id("", 1), accepting, tuple(delta), tuple(names))
+        left = Dfa(self.alphabet, state_id("", 0), accepting, tuple(delta))
+        right = Dfa(self.alphabet, state_id("", 1), accepting, tuple(delta))
         return left, right
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -141,20 +141,17 @@ class Dfa:
     of ``q`` on the i-th symbol of ``alphabet``.  Every state must be reachable
     from ``start``; construction fails otherwise (use :func:`trim` to drop
     unreachable states first).  Instances are immutable, hashable, and safe to
-    share across threads.  ``names`` is display-only and ignored by equality.
+    share across threads.
     """
 
     alphabet: str
     start: int
     accepting: frozenset[int]
     delta: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
         check_alphabet(self.alphabet)
         n = len(self.delta)
         if n == 0:
@@ -171,24 +168,21 @@ class Dfa:
         for q in self.accepting:
             if not 0 <= q < n:
                 raise ValueError(f"accepting state {q} out of range")
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("names must cover every state")
         missing = set(range(n)) - reachable_states(self.delta, self.start)
         if missing:
             raise ValueError(f"states unreachable from start: {sorted(missing)}")
 
     @classmethod
-    def _unchecked(cls, alphabet, start, accepting, delta, names=None) -> "Dfa":
+    def _unchecked(cls, alphabet, start, accepting, delta) -> "Dfa":
         """Build without ``__post_init__`` from a table derived from a valid machine
         or already checked by :func:`fdfa.formats.parse_dfa`.
 
         The caller guarantees what the checks would establish: ``accepting`` is
-        a frozenset and ``delta`` a tuple of k-tuples of in-range ids, ``names``
-        a tuple or None, and every state reachable from ``start``.
+        a frozenset and ``delta`` a tuple of k-tuples of in-range ids, and every
+        state reachable from ``start``.
         """
         d = object.__new__(cls)
-        d.__dict__.update(alphabet=alphabet, start=start, accepting=accepting, delta=delta,
-                          names=names)
+        d.__dict__.update(alphabet=alphabet, start=start, accepting=accepting, delta=delta)
         return d
 
     @property
@@ -208,11 +202,6 @@ class Dfa:
             return self._symbol_index[symbol]
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet {self.alphabet!r}") from None
-
-    def name_of(self, q: int) -> str:
-        if self.names is not None:
-            return self.names[q]
-        return str(q)
 
     def is_accepting(self, q: int) -> bool:
         return q in self.accepting
@@ -236,31 +225,30 @@ class Dfa:
         return self.run(word) in self.accepting
 
 
-def trim(alphabet, start, accepting, delta, names=None) -> tuple[Dfa, dict[int, int]]:
+def trim(alphabet, start, accepting, delta) -> tuple[Dfa, dict[int, int]]:
     """Drop states unreachable from ``start`` and reindex densely, keeping id order.
 
     Returns the trimmed automaton and the old-id -> new-id map for the survivors.
     The result is checked as every public :class:`Dfa` is.
     """
-    d, remap = _trim(alphabet, start, accepting, [tuple(row) for row in delta], names)
-    return Dfa(d.alphabet, d.start, d.accepting, d.delta, d.names), remap
+    d, remap = _trim(alphabet, start, accepting, [tuple(row) for row in delta])
+    return Dfa(d.alphabet, d.start, d.accepting, d.delta), remap
 
 
-def _trim(alphabet, start, accepting, rows, names) -> tuple[Dfa, dict[int, int]]:
+def _trim(alphabet, start, accepting, rows) -> tuple[Dfa, dict[int, int]]:
     # unchecked: the callers derive ``rows`` from a valid machine, or check the result
     keep = sorted(reachable_states(rows, start))
     remap = {old: new for new, old in enumerate(keep)}
     new_delta = tuple(tuple(remap[t] for t in rows[old]) for old in keep)
     new_accepting = frozenset(remap[q] for q in accepting if q in remap)
-    new_names = tuple(names[old] for old in keep) if names is not None else None
-    return Dfa._unchecked(alphabet, remap[start], new_accepting, new_delta, new_names), remap
+    return Dfa._unchecked(alphabet, remap[start], new_accepting, new_delta), remap
 
 
 def induce(d: Dfa, q: int) -> Dfa:
     """The automaton obtained by re-pointing the start at ``q`` and trimming."""
     if q not in d.states:
         raise ValueError(f"state {q} out of range")
-    dfa, _ = _trim(d.alphabet, q, d.accepting, d.delta, d.names)
+    dfa, _ = _trim(d.alphabet, q, d.accepting, d.delta)
     return dfa
 
 

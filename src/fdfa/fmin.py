@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import Dfa, _trim, induce, states_reaching
-from .classes import state_class_partition, states_finitely_different
+from .classes import state_class_partition
 from .language import _count_words, symmetric_difference
-from .minimize import is_minimized, minimize, moore_partition
+from .minimize import is_minimized, minimize, moore_blocks
 from .parts import compute_parts, words_reaching
 
 
@@ -34,8 +34,7 @@ def _merge(d: Dfa, p: int, q: int) -> Dfa:
     delta = [tuple(remap[redirect(t)] for t in d.delta[s]) for s in keep]
     start = remap[redirect(d.start)]
     accepting = frozenset(remap[s] for s in d.accepting if s != p)
-    names = tuple(d.names[s] for s in keep) if d.names is not None else None
-    merged, _ = _trim(d.alphabet, start, accepting, delta, names)
+    merged, _ = _trim(d.alphabet, start, accepting, delta)
     return merged
 
 
@@ -93,8 +92,8 @@ class MergeRecord:
     @cached_property
     def class_diff_words(self) -> tuple[str, ...]:
         """Z, shortlex-sorted."""
-        _, diff = states_finitely_different(self.before, self.merged, self.target)
-        return diff.words
+        return symmetric_difference(induce(self.before, self.merged),
+                                    induce(self.before, self.target)).words
 
 
 def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
@@ -160,7 +159,7 @@ def is_f_minimal(d: Dfa) -> tuple[bool, tuple[int, int] | None]:
 
     When false, returns a violating pair (p, q) that could be merged.
     """
-    part = moore_partition(d)
+    part = moore_blocks(d.delta, d.accepting)
     if part.n_blocks < d.n_states:
         by_block: dict[int, int] = {}
         for s, b in enumerate(part.block_of):
@@ -190,7 +189,7 @@ def flip_finite_acceptance(d: Dfa, states) -> Dfa:
     outside = flip - compute_parts(d).finite
     if outside:
         raise FMergeError(f"states not in the finite part: {sorted(outside)}")
-    return Dfa(d.alphabet, d.start, d.accepting ^ flip, d.delta, d.names)
+    return Dfa(d.alphabet, d.start, d.accepting ^ flip, d.delta)
 
 
 def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: int) -> Dfa:
@@ -222,5 +221,5 @@ def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: i
         return d
     delta = [list(row) for row in d.delta]
     delta[source][ci] = new_target
-    redirected, _ = _trim(d.alphabet, d.start, d.accepting, delta, d.names)
+    redirected, _ = _trim(d.alphabet, d.start, d.accepting, delta)
     return redirected

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, disjoint_union
+from .core import AlphabetMismatchError, Dfa, disjoint_union
 from .classes import finite_difference_classes
 from .fmin import is_f_minimal
-from .language import symmetric_difference
 from .minimize import is_minimized, moore_blocks
 from .parts import compute_parts
 
@@ -78,7 +77,7 @@ def infinite_part_iso(a: Dfa, b: Dfa) -> StateBijection | None:
     exactly when the infinite parts are isomorphic, and is then unique.
     """
     if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
+        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
     _require_minimized(a, "left")
     _require_minimized(b, "right")
     inf_a = sorted(compute_parts(a).infinite)
@@ -115,14 +114,16 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     ok_b, _ = is_f_minimal(b)
     if not ok_b:
         raise ValueError("right automaton is not f-minimal")
-    if not symmetric_difference(a, b).finite:
+    # the union classes answer the precondition too: L(a) ~ L(b) iff the two
+    # start states share a class
+    class_of = finite_difference_classes(*disjoint_union(a, b))
+    n = a.n_states
+    if class_of[a.start] != class_of[n + b.start]:
         raise ValueError("automata are not finitely different")
     fin_a = sorted(compute_parts(a).finite)
     fin_b = sorted(compute_parts(b).finite)
     if len(fin_a) != len(fin_b):
         raise AssertionError("finite parts have different sizes; this is a bug")
-    class_of = finite_difference_classes(*disjoint_union(a, b))
-    n = a.n_states
     fin_b_by_class: dict[int, list[int]] = {}
     for r in fin_b:
         fin_b_by_class.setdefault(class_of[n + r], []).append(r)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Dfa, Word, induce, product_xor, shortest_word_to
+from .core import Dfa, Word, _lex_symbol_order, induce, product_xor, shortest_word_to
 
 
 @dataclass(frozen=True)
@@ -14,11 +14,6 @@ class StatePartition:
 
     block_of: tuple[int, ...]
     n_blocks: int
-
-
-def moore_partition(d: Dfa) -> StatePartition:
-    """Language-equivalence blocks of the states of ``d``."""
-    return moore_blocks(d.delta, d.accepting)
 
 
 def moore_blocks(delta, accepting) -> StatePartition:
@@ -53,36 +48,32 @@ def minimize_with_map(d: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     discovery from the start block, exploring symbols in character order, so
     equal machines always serialize identically.
     """
-    part = moore_partition(d)
+    part = moore_blocks(d.delta, d.accepting)
     block_of = part.block_of
     nb = part.n_blocks
     rep = [0] * nb
     for q in range(d.n_states - 1, -1, -1):  # keep the smallest state as representative
         rep[block_of[q]] = q
-    order = sorted(range(len(d.alphabet)), key=lambda ci: d.alphabet[ci])
+    order = _lex_symbol_order(d)
     new_id = {block_of[d.start]: 0}
     queue = deque([block_of[d.start]])
     while queue:
         b = queue.popleft()
         row = d.delta[rep[b]]
-        for ci in order:
+        for ci, _ in order:
             tb = block_of[row[ci]]
             if tb not in new_id:
                 new_id[tb] = len(new_id)
                 queue.append(tb)
     delta = [None] * nb
     accepting = set()
-    names = [None] * nb if d.names is not None else None
     for b in range(nb):
         i = new_id[b]
         r = rep[b]
         delta[i] = tuple(new_id[block_of[t]] for t in d.delta[r])
         if r in d.accepting:
             accepting.add(i)
-        if names is not None:
-            names[i] = d.names[r]
-    quotient = Dfa._unchecked(d.alphabet, 0, frozenset(accepting), tuple(delta),
-                              tuple(names) if names is not None else None)
+    quotient = Dfa._unchecked(d.alphabet, 0, frozenset(accepting), tuple(delta))
     return quotient, tuple(new_id[block_of[q]] for q in range(d.n_states))
 
 
@@ -92,7 +83,7 @@ def minimize(d: Dfa) -> Dfa:
 
 
 def is_minimized(d: Dfa) -> bool:
-    return moore_partition(d).n_blocks == d.n_states
+    return moore_blocks(d.delta, d.accepting).n_blocks == d.n_states
 
 
 def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:

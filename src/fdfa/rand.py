@@ -1,7 +1,7 @@
 """Deterministic random machine generation.
 
 Uses a fixed 64-bit linear congruential generator rather than ``random`` so
-that a seed names the same machine on every platform and Python version.
+that a seed gives the same machine on every platform and Python version.
 """
 
 from __future__ import annotations

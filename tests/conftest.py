@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -20,6 +21,25 @@ def suite3(suite2):
     return suite2 + tuple(enumerate_all_dfas(3, "01"))
 
 
+def count_calls(monkeypatch, original) -> list:
+    """Rebind ``original`` in every ``fdfa`` module that holds it to a wrapper
+    that records each call's arguments in the returned list.
+
+    Modules copy names on import, so every name holding the original is rebound.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("fdfa") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @st.composite
 def dfas(draw, max_states=4, alphabet="01"):
     """Random reachable DFA; unreachable states are trimmed away."""
@@ -29,7 +49,7 @@ def dfas(draw, max_states=4, alphabet="01"):
     )
     start = draw(st.integers(0, n - 1))
     accepting = frozenset(q for q in range(n) if draw(st.booleans()))
-    d, _ = trim(alphabet, start, accepting, delta, None)
+    d, _ = trim(alphabet, start, accepting, delta)
     return d
 
 

@@ -1,47 +1,47 @@
-"""Small reference machines used across the test suite and docs.
+"""Small reference machines used across the test suite.
 
 All are over the binary alphabet "01" and named for the language they accept.
 """
 
 from __future__ import annotations
 
-from .core import Dfa
-from .minimize import minimize
+from fdfa.core import Dfa
+from fdfa.minimize import minimize
 
 
 def all_words() -> Dfa:
     """Sigma* — one accepting state."""
-    return Dfa("01", 0, {0}, ((0, 0),), names=("T",))
+    return Dfa("01", 0, {0}, ((0, 0),))
 
 
 def empty() -> Dfa:
     """The empty language — one rejecting state."""
-    return Dfa("01", 0, frozenset(), ((0, 0),), names=("R",))
+    return Dfa("01", 0, frozenset(), ((0, 0),))
 
 
 def sigplus() -> Dfa:
     """All non-empty words."""
-    return Dfa("01", 0, {1}, ((1, 1), (1, 1)), names=("E", "P"))
+    return Dfa("01", 0, {1}, ((1, 1), (1, 1)))
 
 
 def zstar() -> Dfa:
     """0* — accept until the first 1, then sink."""
-    return Dfa("01", 0, {0}, ((0, 1), (1, 1)), names=("A", "X"))
+    return Dfa("01", 0, {0}, ((0, 1), (1, 1)))
 
 
 def onezstar() -> Dfa:
     """1·0* — a single 1 followed by any number of 0s."""
-    return Dfa("01", 0, {1}, ((2, 1), (1, 2), (2, 2)), names=("S", "B", "X"))
+    return Dfa("01", 0, {1}, ((2, 1), (1, 2), (2, 2)))
 
 
 def odd_length() -> Dfa:
     """Words of odd length."""
-    return Dfa("01", 0, {1}, ((1, 1), (0, 0)), names=("even", "odd"))
+    return Dfa("01", 0, {1}, ((1, 1), (0, 0)))
 
 
 def even_length() -> Dfa:
     """Words of even length."""
-    return Dfa("01", 0, {0}, ((1, 1), (0, 0)), names=("even", "odd"))
+    return Dfa("01", 0, {0}, ((1, 1), (0, 0)))
 
 
 def finite_language_dfa(words, alphabet: str = "01") -> Dfa:

@@ -8,7 +8,10 @@ successor vectors, the infinite-part isomorphism through long representative
 words instead of one Moore partition, and the ``dfa v1`` reader as a per-token
 parse of each logical line keyed by (state, symbol) pairs instead of one
 tokenization per line keyed by ints.  ``signature_equal``, a verdict only the
-tests ask for, lives here as well.
+tests ask for, lives here as well, and so does the per-pair witness check of
+~ (``states_finitely_different``, ``cross_finitely_different`` and
+``dfas_finitely_different``): one xor product per pair, against which the
+tests compare the ~ engine.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 from fdfa.classes import class_matching
 from fdfa.core import (
+    AlphabetMismatchError,
     Dfa,
     Word,
     check_alphabet,
@@ -31,7 +35,7 @@ from fdfa.core import (
 )
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, _require_minimized, verify_bijection
-from fdfa.language import symmetric_difference
+from fdfa.language import Classification, symmetric_difference
 from fdfa.minimize import minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
 
@@ -66,7 +70,7 @@ def finite_language_by_minimization(d: Dfa) -> bool:
 
 
 def states_finitely_different_by_shape(d: Dfa, p: int, q: int) -> bool:
-    """The same verdict as :func:`fdfa.classes.states_finitely_different`, via the structural test."""
+    """The same verdict as :func:`states_finitely_different`, via the structural test."""
     for s in (p, q):
         if s not in d.states:
             raise ValueError(f"state {s} out of range")
@@ -113,6 +117,42 @@ def finite_difference_classes_by_pair_graph(delta, accepting) -> tuple[int, ...]
 def signature_equal(a: Dfa, b: Dfa) -> bool:
     """Do the two machines touch exactly the same ~ classes of languages?"""
     return class_matching(a, b) is not None
+
+
+def states_finitely_different(d: Dfa, p: int, q: int) -> tuple[bool, Classification]:
+    """Decide p ~ q inside one machine; the Classification gives words or a lasso.
+
+    This is the witness API: it builds the product of the two induced machines
+    and classifies it; the words or the lasso are built when read.  For the
+    verdicts of many pairs use :func:`state_class_partition`.
+    """
+    for s in (p, q):
+        if s not in d.states:
+            raise ValueError(f"state {s} out of range")
+    diff = symmetric_difference(induce(d, p), induce(d, q))
+    return diff.finite, diff
+
+
+def cross_finitely_different(a: Dfa, p: int, b: Dfa, q: int) -> tuple[bool, Classification]:
+    """Decide p ~ q for states of two different machines over one alphabet (witness API)."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
+    if p not in a.states:
+        raise ValueError(f"state {p} out of range")
+    if q not in b.states:
+        raise ValueError(f"state {q} out of range")
+    diff = symmetric_difference(induce(a, p), induce(b, q))
+    return diff.finite, diff
+
+
+def dfas_finitely_different(a: Dfa, b: Dfa) -> tuple[bool, Classification]:
+    """Machine-level ~: do L(a) and L(b) differ on only finitely many words?
+
+    The Classification lists the words of a finite difference, or builds the
+    lasso of an infinite one, when they are read.
+    """
+    diff = symmetric_difference(a, b)
+    return diff.finite, diff
 
 
 @dataclass(frozen=True)

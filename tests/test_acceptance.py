@@ -12,8 +12,6 @@ from itertools import combinations, product
 
 import pytest
 
-from fdfa import fixtures
-from fdfa.classes import dfas_finitely_different, states_finitely_different
 from fdfa.construct import construct_pair
 from fdfa.fmin import (
     FMergeError,
@@ -29,8 +27,15 @@ from fdfa.minimize import is_minimized, minimize
 from fdfa.parts import compute_parts
 from fdfa.rand import Lcg, random_dfa
 
+import machines as fixtures
 from oracle import oracle_diff, oracle_is_f_minimal
-from reference import compute_parts_by_counting, signature_equal, states_finitely_different_by_shape
+from reference import (
+    compute_parts_by_counting,
+    dfas_finitely_different,
+    signature_equal,
+    states_finitely_different,
+    states_finitely_different_by_shape,
+)
 
 
 @contextmanager

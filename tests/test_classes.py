@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa import fixtures
-from fdfa.classes import (
-    class_matching,
-    cross_finitely_different,
-    dfas_finitely_different,
-    finite_difference_classes,
-    state_class_partition,
-    states_finitely_different,
-)
+from fdfa.classes import class_matching, finite_difference_classes, state_class_partition
 from fdfa.core import AlphabetMismatchError, Dfa, disjoint_union, induce
 from fdfa.iso import infinite_part_iso
 from fdfa.language import languages_equal, symmetric_difference
@@ -21,11 +13,15 @@ from fdfa.minimize import minimize
 from fdfa.parts import compute_parts
 from fdfa.rand import random_dfa
 
+import machines as fixtures
 from conftest import acyclic_prefix_table, dfas, sigma_upto, trie_on_kernel
 from reference import (
+    cross_finitely_different,
+    dfas_finitely_different,
     finite_difference_classes_by_pair_graph,
     finite_language_by_minimization,
     signature_equal,
+    states_finitely_different,
     states_finitely_different_by_shape,
 )
 

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa.classes import dfas_finitely_different
 from fdfa.construct import ConstructionSpec, construct_pair
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
 from fdfa.parts import compute_parts
+
+from reference import dfas_finitely_different
 
 
 def test_pair_for_epsilon():

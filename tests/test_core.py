@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given
 
-from fdfa import fixtures
 from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
@@ -19,6 +18,7 @@ from fdfa.fmin import f_minimize, redirect_boundary_transition
 from fdfa.minimize import minimize_with_map
 from fdfa.parts import compute_parts
 
+import machines as fixtures
 from conftest import dfas
 
 
@@ -61,16 +61,16 @@ def test_run_and_accepts():
     assert d.step(0, "1") == 1
 
 
-def test_dfa_is_hashable_and_names_ignored_in_equality():
+def test_dfa_is_hashable():
     a = fixtures.zstar()
-    b = Dfa("01", 0, {0}, ((0, 1), (1, 1)), names=("other", "names"))
+    b = Dfa("01", 0, {0}, ((0, 1), (1, 1)))
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
 
 def test_trim_drops_unreachable_and_keeps_order():
-    d, mapping = trim("01", 1, {0, 2}, ((0, 0), (2, 1), (2, 2)), None)
+    d, mapping = trim("01", 1, {0, 2}, ((0, 0), (2, 1), (2, 2)))
     # state 0 is unreachable from 1; survivors 1, 2 keep their relative order
     assert mapping == {1: 0, 2: 1}
     assert d.n_states == 2
@@ -171,9 +171,8 @@ def derived_machines(d):
 def assert_passes_the_checks(m):
     assert type(m.accepting) is frozenset
     assert type(m.delta) is tuple and all(type(row) is tuple for row in m.delta)
-    checked = Dfa(m.alphabet, m.start, m.accepting, m.delta, m.names)
+    checked = Dfa(m.alphabet, m.start, m.accepting, m.delta)
     assert checked == m
-    assert checked.names == m.names
 
 
 @given(dfas(max_states=5, alphabet="012"))
@@ -186,8 +185,8 @@ def test_derived_machines_of_every_small_machine_pass_the_checks(suite3):
     named = (
         fixtures.onezstar(),
         fixtures.odd_length(),
-        Dfa("01", 0, {1}, ((1, 2), (2, 2), (2, 2)), names=("s", "a", "sink")),  # two merges
-        Dfa("01", 0, {2, 3}, ((1, 3), (2, 4), (2, 4), (1, 3), (4, 4)), names=tuple("abcde")),
+        Dfa("01", 0, {1}, ((1, 2), (2, 2), (2, 2))),  # two merges
+        Dfa("01", 0, {2, 3}, ((1, 3), (2, 4), (2, 4), (1, 3), (4, 4))),
     )
     for d in suite3 + named:
         for m in derived_machines(d):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa import fixtures
 from fdfa.core import Dfa
 from fdfa.formats import (
     DfaFormatError,
@@ -18,6 +17,7 @@ from fdfa.formats import (
     serialize_word_list,
 )
 
+import machines as fixtures
 from conftest import dfas
 from reference import parse_dfa_by_lines
 

@@ -1,7 +1,6 @@
 import pytest
 
-from fdfa import fixtures
-from fdfa.core import Dfa
+from fdfa.core import AlphabetMismatchError, Dfa
 from fdfa.fmin import f_minimize, flip_finite_acceptance
 from fdfa.iso import (
     FINITE_PART,
@@ -12,6 +11,8 @@ from fdfa.iso import (
     verify_bijection,
 )
 
+import machines as fixtures
+from conftest import count_calls
 from reference import iso_from_representatives
 
 
@@ -114,3 +115,21 @@ def test_finite_part_iso_requires_f_minimal_inputs():
 def test_finite_part_iso_requires_finitely_different_inputs():
     with pytest.raises(ValueError, match="not finitely different"):
         finite_part_iso(fixtures.onezstar(), fixtures.zstar())
+
+
+def test_finite_part_iso_builds_no_product(monkeypatch):
+    import fdfa.core
+
+    calls = count_calls(monkeypatch, fdfa.core.product_xor)
+    oz = fixtures.onezstar()
+    assert finite_part_iso(oz, flip_finite_acceptance(oz, {0})).mapping == ((0, 0),)
+    assert calls == []
+    with pytest.raises(ValueError, match="automata are not finitely different"):
+        finite_part_iso(fixtures.zstar(), fixtures.onezstar())
+
+
+def test_part_isos_raise_the_alphabet_mismatch_error():
+    other = Dfa("ab", 0, {0}, ((0, 0),))
+    for iso in (infinite_part_iso, finite_part_iso):
+        with pytest.raises(AlphabetMismatchError, match="alphabets differ"):
+            iso(fixtures.all_words(), other)

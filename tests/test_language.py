@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings
 
-from fdfa import fixtures
 from fdfa.classes import state_class_partition
 from fdfa.core import (
     AlphabetMismatchError,
@@ -27,6 +26,7 @@ from fdfa.language import (
 )
 from fdfa.parts import compute_parts
 
+import machines as fixtures
 from conftest import dfas, sigma_upto
 from oracle import oracle_diff
 

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given
 
-from fdfa import fixtures
 from fdfa.core import Dfa, induce
 from fdfa.language import languages_equal
 from fdfa.minimize import (
@@ -9,9 +8,10 @@ from fdfa.minimize import (
     is_minimized,
     minimize,
     minimize_with_map,
-    moore_partition,
+    moore_blocks,
 )
 
+import machines as fixtures
 from conftest import dfas
 from oracle import oracle_diff
 
@@ -53,7 +53,7 @@ def test_is_minimized():
 
 def test_moore_partition_blocks():
     d = Dfa("01", 0, {1, 2}, ((1, 2), (1, 2), (1, 2)))
-    part = moore_partition(d)
+    part = moore_blocks(d.delta, d.accepting)
     assert part.n_blocks == 2
     assert part.block_of[1] == part.block_of[2]
 

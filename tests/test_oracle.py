@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
-from fdfa import fixtures
 from fdfa.core import AlphabetMismatchError, Dfa
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
 from fdfa.rand import random_dfa
 
+import machines as fixtures
 from conftest import dfas
 from oracle import (
     enumerate_all_dfas,

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given
 
-from fdfa import fixtures
 from fdfa.construct import construct_pair
 from fdfa.core import Dfa
 from fdfa.language import enumerate_finite_language
 from fdfa.parts import compute_parts, words_reaching
 
+import machines as fixtures
 from conftest import dfas, reversed_loop_chain
 from reference import compute_parts_by_counting
 

@@ -30,7 +30,6 @@ def test_random_dfa_is_deterministic():
     a = random_dfa(4, "01", 42)
     b = random_dfa(4, "01", 42)
     assert a == b
-    assert a.names == b.names
 
 
 def test_random_dfa_seed_42_pinned():

@@ -1,4 +1,5 @@
-"""The README's example session, run command by command and compared line by line."""
+"""The README's examples: the shell session, run command by command and compared
+line by line, and the library block, executed."""
 
 import os
 import re
@@ -6,6 +7,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from fdfa import EMPTY
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +42,18 @@ def test_readme_example_session(tmp_path):
         r = subprocess.run(["sh", "-c", cmd], cwd=tmp_path, env=env,
                            capture_output=True, text=True)
         assert r.stdout == expected, (cmd, r.stderr)
+
+
+def test_readme_library_example(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library overview\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    scope = {}
+    exec(block, scope)
+    assert not scope["diff"].finite
+    assert scope["mapping"].mapping == ((0, 1), (1, 2))
+    parts = scope["parts"]
+    assert (parts.finite, parts.infinite) == ({0}, {1, 2})
+    same = scope["same"]
+    assert same.kind == EMPTY and same.finite and same.words == ()
+    assert scope["smaller"].n_states == 1

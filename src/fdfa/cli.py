@@ -117,8 +117,11 @@ def _cmd_diff(args) -> int:
     b = _load(args.right)
     diff = symmetric_difference(a, b)
     if diff.finite:
-        print(f"finite {len(diff.words)}")
-        sys.stdout.writelines(format_word(w) + "\n" for w in diff.words)
+        words = diff.words
+        lines = [f"finite {len(words)}", *words, ""]
+        if words:
+            lines[1] = format_word(words[0])  # in shortlex order only the first word can be ε
+        sys.stdout.write("\n".join(lines))
         return 0
     lasso = diff.witness
     print("infinite")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AlphabetMismatchError, Dfa, disjoint_union
+from .core import Dfa, disjoint_union
 from .classes import finite_difference_classes
 from .fmin import is_f_minimal
 from .minimize import is_minimized, moore_blocks
@@ -76,18 +76,18 @@ def infinite_part_iso(a: Dfa, b: Dfa) -> StateBijection | None:
     machines each language occurs at most once, so this matching succeeds
     exactly when the infinite parts are isomorphic, and is then unique.
     """
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
-    _require_minimized(a, "left")
-    _require_minimized(b, "right")
+    # one Moore partition of both machines: equal languages share a block, so
+    # a machine is minimized exactly when its states fill distinct blocks
+    block_of = moore_blocks(*disjoint_union(a, b)).block_of
+    n = a.n_states
+    if len(set(block_of[:n])) != n:
+        raise ValueError("left automaton is not minimized")
+    if len(set(block_of[n:])) != b.n_states:
+        raise ValueError("right automaton is not minimized")
     inf_a = sorted(compute_parts(a).infinite)
     inf_b = compute_parts(b).infinite
     if len(inf_a) != len(inf_b):
         return None
-    # one Moore partition of both machines: equal languages share a block, and
-    # a minimized b has at most one state per block
-    block_of = moore_blocks(*disjoint_union(a, b)).block_of
-    n = a.n_states
     partner_in_block = {block_of[n + r]: r for r in inf_b}
     mapping = []
     for q in inf_a:

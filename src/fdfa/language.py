@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .core import (
     Dfa,
@@ -128,25 +130,42 @@ def _list_words(d: Dfa, useful, targets) -> list[Word]:
     """Every word whose run from the start stays in ``useful`` and ends in
     ``targets``, shortlex-sorted.  No cycle may run through ``useful``.
 
-    Breadth-first, one word length at a time, trying symbols in character
-    order: each level then comes out sorted, so no sort is needed.
+    Breadth-first, one word length at a time.  A level maps each state it
+    reaches to the sorted words of that length that reach it, so the
+    Python-level steps follow (state, length) pairs and each word costs one
+    concatenation.  A group that several edges feed is a row of sorted runs,
+    which one sort merges.
     """
     order = _lex_symbol_order(d)
     delta = d.delta
     out: list[Word] = []
-    level: list[tuple[int, Word]] = [(d.start, "")]
+    level: dict[int, Sequence[Word]] = {d.start: ("",)}
     while level:
-        nxt: list[tuple[int, Word]] = []
-        for q, word in level:
-            if q in targets:
-                out.append(word)
+        hits = [words for q, words in level.items() if q in targets]
+        if hits:
+            out += _merge_runs(hits)
+        nxt: dict[int, Sequence[Word]] = {}
+        runs: dict[int, list[Sequence[Word]]] = {}
+        for q, words in level.items():
             row = delta[q]
             for ci, sym in order:
                 t = row[ci]
                 if t in useful:
-                    nxt.append((t, word + sym))
+                    # tries have one word per group: a 1-tuple skips the
+                    # comprehension, and the garbage collector stops tracking it
+                    grown = (words[0] + sym,) if len(words) == 1 else [w + sym for w in words]
+                    group = nxt.setdefault(t, grown)
+                    if group is not grown:
+                        runs.setdefault(t, [group]).append(grown)
+        for t, parts in runs.items():
+            nxt[t] = _merge_runs(parts)
         level = nxt
     return out
+
+
+def _merge_runs(runs: list[Sequence[Word]]) -> Sequence[Word]:
+    # runs of equal-length sorted words, merged into one sorted run
+    return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
 
 
 def _count_words(d: Dfa, useful, targets) -> int:

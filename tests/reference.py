@@ -7,8 +7,10 @@ reachability in the graph of block pairs instead of merging blocks with equal
 successor vectors, the infinite-part isomorphism through long representative
 words instead of one Moore partition, and the ``dfa v1`` reader as a per-token
 parse of each logical line keyed by (state, symbol) pairs instead of one
-tokenization per line keyed by ints.  ``signature_equal``, a verdict only the
-tests ask for, lives here as well, and so does the per-pair witness check of
+tokenization per line keyed by ints, and the finite word list as one
+(state, word) pair per prefix instead of one sorted word group per (state,
+length) pair.  ``signature_equal``, a verdict only the tests ask for, lives
+here as well, and so does the per-pair witness check of
 ~ (``states_finitely_different``, ``cross_finitely_different`` and
 ``dfas_finitely_different``): one xor product per pair, against which the
 tests compare the ~ engine.
@@ -24,6 +26,7 @@ from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
     Word,
+    _lex_symbol_order,
     check_alphabet,
     induce,
     product_xor,
@@ -112,6 +115,31 @@ def finite_difference_classes_by_pair_graph(delta, accepting) -> tuple[int, ...]
     for q, x in enumerate(block_of):
         smallest.setdefault(leader[x], q)
     return tuple(smallest[leader[x]] for x in block_of)
+
+
+def list_words_by_prefixes(d: Dfa, useful, targets) -> list[Word]:
+    """Every word whose run from the start stays in ``useful`` and ends in
+    ``targets``, shortlex-sorted.  No cycle may run through ``useful``.
+
+    Breadth-first, one word length at a time, trying symbols in character
+    order: each level then comes out sorted, so no sort is needed.
+    """
+    order = _lex_symbol_order(d)
+    delta = d.delta
+    out: list[Word] = []
+    level: list[tuple[int, Word]] = [(d.start, "")]
+    while level:
+        nxt: list[tuple[int, Word]] = []
+        for q, word in level:
+            if q in targets:
+                out.append(word)
+            row = delta[q]
+            for ci, sym in order:
+                t = row[ci]
+                if t in useful:
+                    nxt.append((t, word + sym))
+        level = nxt
+    return out
 
 
 def signature_equal(a: Dfa, b: Dfa) -> bool:

@@ -100,6 +100,11 @@ def test_diff_finite():
     assert r.stdout == "finite 1\n@\n"
 
 
+def test_diff_of_equal_languages_prints_only_the_count():
+    r = run_cli("diff", fix("zstar"), fix("zstar"))
+    assert (r.returncode, r.stdout) == (0, "finite 0\n")
+
+
 def test_diff_infinite():
     r = run_cli("diff", fix("odd"), fix("even"))
     assert r.returncode == 1

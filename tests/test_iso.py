@@ -10,6 +10,7 @@ from fdfa.iso import (
     infinite_part_iso,
     verify_bijection,
 )
+from fdfa.minimize import moore_blocks
 
 import machines as fixtures
 from conftest import count_calls
@@ -42,6 +43,31 @@ def test_infinite_part_iso_requires_minimized_inputs():
         infinite_part_iso(redundant, fixtures.zstar())
     with pytest.raises(ValueError, match="not minimized"):
         infinite_part_iso(fixtures.zstar(), redundant)
+
+
+def test_infinite_part_iso_runs_one_moore_partition(monkeypatch):
+    calls = count_calls(monkeypatch, moore_blocks)
+    redundant = Dfa("01", 0, {1, 2}, ((1, 2), (1, 2), (1, 2)))
+    pairs = [
+        (fixtures.zstar(), fixtures.onezstar()),
+        (fixtures.odd_length(), fixtures.even_length()),
+        (fixtures.zstar(), fixtures.all_words()),
+    ]
+    for a, b in pairs:
+        infinite_part_iso(a, b)
+    assert len(calls) == len(pairs)
+    for a, b in [(redundant, fixtures.zstar()), (fixtures.zstar(), redundant)]:
+        with pytest.raises(ValueError, match="not minimized"):
+            infinite_part_iso(a, b)
+    assert len(calls) == len(pairs) + 2
+
+
+def test_infinite_part_iso_checks_the_alphabet_then_left_then_right():
+    redundant = Dfa("01", 0, {1, 2}, ((1, 2), (1, 2), (1, 2)))
+    with pytest.raises(AlphabetMismatchError):
+        infinite_part_iso(redundant, Dfa("ab", 0, {0, 1}, ((1, 1), (1, 1))))
+    with pytest.raises(ValueError, match="left automaton is not minimized"):
+        infinite_part_iso(redundant, redundant)
 
 
 def test_verify_bijection_spots_acceptance_mismatch():

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdfa.classes import state_class_partition
 from fdfa.core import (
@@ -8,8 +11,11 @@ from fdfa.core import (
     induce,
     product_xor,
     shortest_cycle_word,
+    states_on_cycles,
     states_reaching,
+    trim,
 )
+from fdfa.fmin import flip_finite_acceptance
 from fdfa.language import (
     EMPTY,
     FINITE,
@@ -24,11 +30,12 @@ from fdfa.language import (
     symmetric_difference,
     useful_states,
 )
-from fdfa.parts import compute_parts
+from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
-from conftest import dfas, sigma_upto
+from conftest import dfas, sigma_upto, trie_on_kernel
 from oracle import oracle_diff
+from reference import list_words_by_prefixes
 
 
 def test_shortlex_orders_by_length_then_characters():
@@ -218,3 +225,99 @@ def test_difference_words_come_out_in_shortlex_order(a, b):
     diff = symmetric_difference(a, b)
     if diff.finite:
         assert list(diff.words) == shortlex_oracle(a, b)
+
+
+def assert_lists_like_the_prefix_search(d, useful, targets):
+    assert _list_words(d, useful, targets) == list_words_by_prefixes(d, useful, targets)
+
+
+def assert_difference_lists_like_the_prefix_search(a, b):
+    prod = product_xor(a, b).dfa
+    useful = useful_states(prod)
+    assert not useful & states_on_cycles(prod.delta), "the difference must be finite"
+    assert_lists_like_the_prefix_search(prod, useful, prod.accepting)
+
+
+def even_ones_upto(m):
+    """Words of length at most m with an even number of 1s.
+
+    State 2·L + p is reached by the words of length L whose count of 1s has
+    parity p; from length 2 on, two edges enter every state.
+    """
+    sink = 2 * (m + 1)
+    delta = [(sink, sink)] * (sink + 1)
+    for q in range(2 * m):
+        up = 2 * (q // 2 + 1)
+        delta[q] = (up + q % 2, up + 1 - q % 2)
+    d, _ = trim("01", 0, range(0, sink, 2), delta)
+    return d
+
+
+@st.composite
+def finite_language_dfas(draw, alphabet, max_states=7):
+    """Random machine whose state q steps only to higher ids; state n is a sink."""
+    n = draw(st.integers(1, max_states))
+    delta = [tuple(draw(st.integers(q + 1, n)) for _ in alphabet) for q in range(n)]
+    delta.append((n,) * len(alphabet))
+    return trim(alphabet, 0, draw(st.sets(st.integers(0, n - 1))), delta)[0]
+
+
+@given(st.sampled_from(["ba", "201"]).flatmap(
+    lambda alphabet: st.tuples(finite_language_dfas(alphabet), finite_language_dfas(alphabet))))
+@settings(max_examples=150, deadline=None)
+def test_grouped_listing_matches_the_prefix_search_on_finite_differences(pair):
+    assert_difference_lists_like_the_prefix_search(*pair)
+
+
+def test_grouped_listing_matches_the_prefix_search_on_finite_parts(suite3):
+    for d in suite3:
+        for q in compute_parts(d).finite:
+            assert words_reaching(d, q) == list_words_by_prefixes(
+                d, states_reaching(d.delta, {q}), {q}
+            )
+
+
+@pytest.mark.parametrize("alphabet", ["10", "ba", "012"])
+def test_grouped_listing_matches_the_prefix_search_on_full_chains(alphabet):
+    for m in range(7):
+        empty = Dfa(alphabet, 0, frozenset(), ((0,) * len(alphabet),))
+        assert_difference_lists_like_the_prefix_search(sigma_upto(m, alphabet), empty)
+
+
+def test_grouped_listing_matches_the_prefix_search_on_parity():
+    d = even_ones_upto(10)
+    assert_lists_like_the_prefix_search(d, useful_states(d), d.accepting)
+    assert len(_list_words(d, useful_states(d), d.accepting)) == 2 ** 11 // 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grouped_listing_matches_the_prefix_search_on_tries(seed):
+    # one word per (state, length) group: nothing merges
+    d = trie_on_kernel(300, 14, 3, seed)
+    flipped = flip_finite_acceptance(d, compute_parts(d).finite)
+    assert_difference_lists_like_the_prefix_search(d, flipped)
+
+
+def test_groups_fed_by_several_edges_are_merged_in_order():
+    # level 2: state 3 holds 00, 11 and state 4 holds 01, 10; both enter
+    # state 5 on 0, so its group arrives as 000 110 010 100 and needs a sort
+    delta = ((1, 2), (3, 4), (4, 3), (5, 6), (5, 6), (6, 6), (6, 6))
+    d = Dfa("01", 0, frozenset({3, 4, 5}), delta)
+    words = ["00", "01", "10", "11", "000", "010", "100", "110"]
+    assert _list_words(d, useful_states(d), d.accepting) == words
+    assert_lists_like_the_prefix_search(d, useful_states(d), d.accepting)
+
+
+def test_listing_a_full_chain_stays_within_its_memory_bound():
+    # 65,535 words; the one-pair-per-prefix search peaks at 6.7-7.2 MiB
+    chain, empty = sigma_upto(15), Dfa("01", 0, frozenset(), ((0, 0),))
+    prod = product_xor(chain, empty).dfa
+    useful = useful_states(prod)
+    tracemalloc.start()
+    try:
+        words = _list_words(prod, useful, prod.accepting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 2 ** 16 - 1
+    assert peak < 6 * 2 ** 20

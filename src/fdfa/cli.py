@@ -18,6 +18,7 @@ from .construct import construct_pair
 from .core import Dfa
 from .fmin import f_minimize
 from .formats import (
+    EPSILON_TOKEN,
     DfaFormatError,
     TrimWarning,
     format_word,
@@ -117,11 +118,11 @@ def _cmd_diff(args) -> int:
     b = _load(args.right)
     diff = symmetric_difference(a, b)
     if diff.finite:
-        words = diff.words
-        lines = [f"finite {len(words)}", *words, ""]
-        if words:
-            lines[1] = format_word(words[0])  # in shortlex order only the first word can be ε
-        sys.stdout.write("\n".join(lines))
+        text = diff.text
+        # in shortlex order only the first word can be ε, which prints as @
+        eps = EPSILON_TOKEN if text.startswith("\n") else ""
+        n = text.count("\n")
+        sys.stdout.write(f"finite {n}\n{eps}{text}")
         return 0
     lasso = diff.witness
     print("infinite")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import Dfa, disjoint_union
 from .classes import finite_difference_classes
 from .fmin import is_f_minimal
-from .minimize import is_minimized, moore_blocks
+from .minimize import moore_blocks
 from .parts import compute_parts
 
 INFINITE_PART = "infinite"
@@ -23,11 +23,6 @@ class StateBijection:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-
-def _require_minimized(d: Dfa, side: str) -> None:
-    if not is_minimized(d):
-        raise ValueError(f"{side} automaton is not minimized")
 
 
 def verify_bijection(a: Dfa, b: Dfa, bij: StateBijection) -> tuple[bool, str | None]:

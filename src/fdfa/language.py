@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 from .core import (
     Dfa,
@@ -44,9 +42,9 @@ class Classification:
     """What L(dfa) is: EMPTY, FINITE or INFINITE.
 
     The verdict costs one backward closure and one cycle search.  The lasso
-    ``witness``, the word list ``words`` and the count ``n_words`` are built
-    from ``dfa`` on first read, so a caller that needs only the verdict never
-    pays for them.
+    ``witness``, the listing ``text``, its word list ``words`` and the count
+    ``n_words`` are built from ``dfa`` on first read, so a caller that needs
+    only the verdict never pays for them.
     """
 
     kind: str  # EMPTY, FINITE or INFINITE
@@ -71,11 +69,19 @@ class Classification:
                      shortest_word_to(d, c, d.accepting))
 
     @cached_property
+    def text(self) -> str | None:
+        """Every accepted word, shortlex-sorted, each followed by a newline, as
+        one string; None for an infinite language."""
+        if self.kind == INFINITE:
+            return None
+        return _list_text(self.dfa, self._useful, self.dfa.accepting)
+
+    @cached_property
     def words(self) -> tuple[Word, ...] | None:
         """Every accepted word, shortlex-sorted; None for an infinite language."""
         if self.kind == INFINITE:
             return None
-        return tuple(_list_words(self.dfa, self._useful, self.dfa.accepting))
+        return tuple(self.text.split("\n")[:-1])
 
     @cached_property
     def n_words(self) -> int | None:
@@ -126,50 +132,106 @@ def enumerate_finite_language(d: Dfa) -> list[Word]:
     return list(cls.words)
 
 
-def _list_words(d: Dfa, useful, targets) -> list[Word]:
+def _list_text(d: Dfa, useful, targets) -> str:
     """Every word whose run from the start stays in ``useful`` and ends in
-    ``targets``, shortlex-sorted.  No cycle may run through ``useful``.
+    ``targets``, shortlex-sorted, each followed by a newline, as one string.
+    No cycle may run through ``useful``.
 
     Breadth-first, one word length at a time.  A level maps each state it
-    reaches to the sorted words of that length that reach it, so the
-    Python-level steps follow (state, length) pairs and each word costs one
-    concatenation.  A group that several edges feed is a row of sorted runs,
-    which one sort merges.
+    reaches to one ``bytes`` block: the sorted words of that length that reach
+    it, as fixed-width records of a newline and the word.  A symbol takes one
+    byte (``latin-1``) when the whole alphabet lies below U+0100, else four
+    (``utf-32-be``); in both, byte order is code-point order.  No object is
+    made per word: a one-word block grows by one concatenation, a larger one
+    by strided slice copies (:func:`_grow`), and a block that several states
+    feed is merged with one sort of its records.
     """
-    order = _lex_symbol_order(d)
+    enc, u = ("latin-1", 1) if max(d.alphabet) < "\u0100" else ("utf-32-be", 4)
+    syms = [(ci, sym.encode(enc)) for ci, sym in _lex_symbol_order(d)]
     delta = d.delta
-    out: list[Word] = []
-    level: dict[int, Sequence[Word]] = {d.start: ("",)}
+    nl = "\n".encode(enc)
+    # a byte that the newline and every symbol hold as 0 is 0 in every record
+    live = [b for b in range(u) if nl[b] or any(sym[b] for _, sym in syms)]
+    out = bytearray()
+    level: dict[int, bytes] = {d.start: nl}
+    width = u  # the record width of this level, in bytes
     while level:
-        hits = [words for q, words in level.items() if q in targets]
+        hits = [blk for q, blk in level.items() if q in targets]
         if hits:
-            out += _merge_runs(hits)
-        nxt: dict[int, Sequence[Word]] = {}
-        runs: dict[int, list[Sequence[Word]]] = {}
-        for q, words in level.items():
+            out += _merge_blocks(hits, width)
+        nxt: dict[int, bytes] = {}
+        runs: dict[int, list[bytes]] = {}  # the states that several blocks feed
+        cols = [c for c in range(width) if c % u in live]
+        # each grown block g is a new object, so `group is not g` tells that
+        # another block fed t first
+        for q, blk in level.items():
             row = delta[q]
-            for ci, sym in order:
-                t = row[ci]
-                if t in useful:
-                    # tries have one word per group: a 1-tuple skips the
-                    # comprehension, and the garbage collector stops tracking it
-                    grown = (words[0] + sym,) if len(words) == 1 else [w + sym for w in words]
-                    group = nxt.setdefault(t, grown)
-                    if group is not grown:
-                        runs.setdefault(t, [group]).append(grown)
-        for t, parts in runs.items():
-            nxt[t] = _merge_runs(parts)
+            if len(blk) == width:  # one word, as in every group of a trie
+                for ci, sym in syms:
+                    t = row[ci]
+                    if t in useful:
+                        g = blk + sym
+                        group = nxt.setdefault(t, g)
+                        if group is not g:
+                            runs.setdefault(t, [group]).append(g)
+            else:
+                # the symbols from q into each useful state, in character order
+                fan: dict[int, list[bytes]] = {}
+                for ci, sym in syms:
+                    t = row[ci]
+                    if t in useful:
+                        fan.setdefault(t, []).append(sym)
+                for t, ts in fan.items():
+                    g = _grow(blk, width, cols, ts)
+                    group = nxt.setdefault(t, g)
+                    if group is not g:
+                        runs.setdefault(t, [group]).append(g)
+        width += u
+        for t, blks in runs.items():
+            nxt[t] = _merge_blocks(blks, width)
         level = nxt
-    return out
+    if out:  # move the leading newline to the end
+        out += nl
+        del out[:u]
+    return out.decode(enc)
 
 
-def _merge_runs(runs: list[Sequence[Word]]) -> Sequence[Word]:
-    # runs of equal-length sorted words, merged into one sorted run
-    return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
+def _grow(blk: bytes, width: int, cols: list[int], syms: list[bytes]) -> bytes:
+    """The sorted ``width``-byte records of ``blk``, each extended by every
+    symbol of ``syms`` in turn.
+
+    Record r's extensions r·s1, …, r·sj come out together, so sorted symbols
+    keep the block sorted.  Each byte column of the old records that is not
+    all zero (``cols``) is copied into every j-th new record at once, so the
+    Python-level steps number O(width·j) whatever the number of records.
+    """
+    n, j, wider = len(blk) // width, len(syms), width + len(syms[0])
+    stride = j * wider
+    buf = bytearray(n * stride)  # zeroed
+    for c in cols:
+        col = blk[c::width]
+        for i in range(j):
+            buf[i * wider + c::stride] = col
+    for i, sym in enumerate(syms):
+        for c, byte in enumerate(sym, width):
+            if byte:
+                buf[i * wider + c::stride] = bytes((byte,)) * n
+    return bytes(buf)
+
+
+def _merge_blocks(blocks: list[bytes], width: int) -> bytes:
+    # sorted blocks of ``width``-byte records, merged into one sorted block
+    if len(blocks) == 1:
+        return blocks[0]
+    if sum(map(len, blocks)) == width * len(blocks):  # one record each
+        records = blocks
+    else:
+        records = [blk[i:i + width] for blk in blocks for i in range(0, len(blk), width)]
+    return b"".join(sorted(records))
 
 
 def _count_words(d: Dfa, useful, targets) -> int:
-    """How many words :func:`_list_words` lists for the same arguments.
+    """How many words :func:`_list_text` lists for the same arguments.
 
     Counts paths instead of listing them: a dynamic program over the acyclic
     ``useful`` subgraph in reverse topological order, O(k·|useful|) steps and

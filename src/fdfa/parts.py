@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Dfa, Word, _forward_closure, states_on_cycles, states_reaching
-from .language import _list_words
+from .language import _list_text
 
 
 @dataclass(frozen=True)
@@ -38,4 +38,4 @@ def words_reaching(d: Dfa, q: int) -> list[Word]:
     if q in parts.infinite:
         raise ValueError(f"state {q} is in the infinite part; infinitely many words reach it")
     # every state that can reach q is in the finite part, which is acyclic
-    return _list_words(d, states_reaching(d.delta, {q}), {q})
+    return _list_text(d, states_reaching(d.delta, {q}), {q}).split("\n")[:-1]

@@ -1,8 +1,12 @@
 """Brute-force ground truth for tests: word-by-word simulation, machine enumeration.
 
-Nothing here shares logic with the production decision procedures: no product
-construction, no cycle analysis.  Every word up to a bound is simulated
-directly, which keeps the exhaustive suites honest (and slow on purpose).
+The word tables share no logic with the production decision procedures: every
+word up to a bound is simulated directly, which keeps the exhaustive suites
+honest (and slow on purpose).  The one exception is
+:func:`oracle_is_f_minimal`, which decides each smaller candidate machine with
+the production :func:`symmetric_difference`, so it builds one xor product and
+runs one cycle analysis per candidate: 1.22 million ``product_xor`` calls
+under the f-minimization acceptance criterion.
 """
 
 from __future__ import annotations

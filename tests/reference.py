@@ -8,12 +8,13 @@ successor vectors, the infinite-part isomorphism through long representative
 words instead of one Moore partition, and the ``dfa v1`` reader as a per-token
 parse of each logical line keyed by (state, symbol) pairs instead of one
 tokenization per line keyed by ints, and the finite word list as one
-(state, word) pair per prefix instead of one sorted word group per (state,
-length) pair.  ``signature_equal``, a verdict only the tests ask for, lives
-here as well, and so does the per-pair witness check of
-~ (``states_finitely_different``, ``cross_finitely_different`` and
+(state, word) pair per prefix instead of one byte block of fixed-width records
+per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
+for, lives here as well, and so does the per-pair witness check of ~
+(``states_finitely_different``, ``cross_finitely_different`` and
 ``dfas_finitely_different``): one xor product per pair, against which the
-tests compare the ~ engine.
+tests compare the ~ engine.  ``iso_from_representatives`` checks its own
+precondition that both machines are minimized.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from fdfa.core import (
     states_reaching,
 )
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
-from fdfa.iso import INFINITE_PART, StateBijection, _require_minimized, verify_bijection
+from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
 from fdfa.language import Classification, symmetric_difference
-from fdfa.minimize import minimize, moore_blocks
+from fdfa.minimize import is_minimized, minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
 
 
@@ -192,6 +193,11 @@ class RepresentativeAssignment:
 
     def word_for(self, q: int) -> Word:
         return dict(self.words)[q]
+
+
+def _require_minimized(d: Dfa, side: str) -> None:
+    if not is_minimized(d):
+        raise ValueError(f"{side} automaton is not minimized")
 
 
 def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, RepresentativeAssignment]:

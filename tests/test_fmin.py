@@ -178,7 +178,7 @@ def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     import fdfa.language
 
     # the one word lister, behind words_into_merged and class_diff_words
-    calls = count_calls(monkeypatch, fdfa.language._list_words)
+    calls = count_calls(monkeypatch, fdfa.language._list_text)
 
     out, records = f_minimize(sigma_upto(12))
     assert calls == []

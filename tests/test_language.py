@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdfa.classes import state_class_partition
+from fdfa.cli import main
 from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
@@ -16,13 +18,14 @@ from fdfa.core import (
     trim,
 )
 from fdfa.fmin import flip_finite_acceptance
+from fdfa.formats import serialize_dfa
 from fdfa.language import (
     EMPTY,
     FINITE,
     INFINITE,
     InfiniteLanguageError,
     _count_words,
-    _list_words,
+    _list_text,
     classify_language,
     enumerate_finite_language,
     languages_equal,
@@ -123,7 +126,7 @@ def test_a_finite_verdict_and_its_count_list_no_word(monkeypatch):
     def refuse(*args):
         raise AssertionError("a word was listed")
 
-    monkeypatch.setattr(fdfa.language, "_list_words", refuse)
+    monkeypatch.setattr(fdfa.language, "_list_text", refuse)
     diff = symmetric_difference(sigma_upto(60), Dfa("01", 0, frozenset(), ((0, 0),)))
     assert diff.finite
     assert diff.kind == FINITE
@@ -186,7 +189,7 @@ def assert_count_matches_listing(d, useful, targets):
     n = _count_words(d, useful, targets)
     # a listing can be exponentially long; compare only those that stay small
     if n <= 2 ** 14:
-        assert n == len(_list_words(d, useful, targets))
+        assert n == _list_text(d, useful, targets).count("\n")
 
 
 @given(dfas(max_states=6))
@@ -228,7 +231,8 @@ def test_difference_words_come_out_in_shortlex_order(a, b):
 
 
 def assert_lists_like_the_prefix_search(d, useful, targets):
-    assert _list_words(d, useful, targets) == list_words_by_prefixes(d, useful, targets)
+    expected = "".join(w + "\n" for w in list_words_by_prefixes(d, useful, targets))
+    assert _list_text(d, useful, targets) == expected
 
 
 def assert_difference_lists_like_the_prefix_search(a, b):
@@ -262,7 +266,7 @@ def finite_language_dfas(draw, alphabet, max_states=7):
     return trim(alphabet, 0, draw(st.sets(st.integers(0, n - 1))), delta)[0]
 
 
-@given(st.sampled_from(["ba", "201"]).flatmap(
+@given(st.sampled_from(["ba", "201", "Āੁ"]).flatmap(
     lambda alphabet: st.tuples(finite_language_dfas(alphabet), finite_language_dfas(alphabet))))
 @settings(max_examples=150, deadline=None)
 def test_grouped_listing_matches_the_prefix_search_on_finite_differences(pair):
@@ -277,7 +281,8 @@ def test_grouped_listing_matches_the_prefix_search_on_finite_parts(suite3):
             )
 
 
-@pytest.mark.parametrize("alphabet", ["10", "ba", "012"])
+# "Āੁ" lists four bytes a symbol; U+0100 U+0A41 holds the bytes of a newline
+@pytest.mark.parametrize("alphabet", ["10", "ba", "012", "Āੁ", "αβγ"])
 def test_grouped_listing_matches_the_prefix_search_on_full_chains(alphabet):
     for m in range(7):
         empty = Dfa(alphabet, 0, frozenset(), ((0,) * len(alphabet),))
@@ -287,7 +292,7 @@ def test_grouped_listing_matches_the_prefix_search_on_full_chains(alphabet):
 def test_grouped_listing_matches_the_prefix_search_on_parity():
     d = even_ones_upto(10)
     assert_lists_like_the_prefix_search(d, useful_states(d), d.accepting)
-    assert len(_list_words(d, useful_states(d), d.accepting)) == 2 ** 11 // 2
+    assert _list_text(d, useful_states(d), d.accepting).count("\n") == 2 ** 11 // 2
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -304,7 +309,7 @@ def test_groups_fed_by_several_edges_are_merged_in_order():
     delta = ((1, 2), (3, 4), (4, 3), (5, 6), (5, 6), (6, 6), (6, 6))
     d = Dfa("01", 0, frozenset({3, 4, 5}), delta)
     words = ["00", "01", "10", "11", "000", "010", "100", "110"]
-    assert _list_words(d, useful_states(d), d.accepting) == words
+    assert _list_text(d, useful_states(d), d.accepting) == "".join(w + "\n" for w in words)
     assert_lists_like_the_prefix_search(d, useful_states(d), d.accepting)
 
 
@@ -315,9 +320,38 @@ def test_listing_a_full_chain_stays_within_its_memory_bound():
     useful = useful_states(prod)
     tracemalloc.start()
     try:
-        words = _list_words(prod, useful, prod.accepting)
+        text = _list_text(prod, useful, prod.accepting)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(words) == 2 ** 16 - 1
+    assert text.count("\n") == 2 ** 16 - 1
     assert peak < 6 * 2 ** 20
+
+
+class CountingSink:
+    """A stdout that keeps only how many characters were written to it."""
+
+    def __init__(self):
+        self.n = 0
+
+    def write(self, text):
+        self.n += len(text)
+        return len(text)
+
+
+def test_the_diff_output_path_stays_within_its_memory_bound(tmp_path):
+    # 65,535 words in 983,055 characters; one str per word peaks at 5.4-5.9 MiB
+    chain, empty = tmp_path / "chain.dfa", tmp_path / "empty.dfa"
+    chain.write_text(serialize_dfa(sigma_upto(15)))
+    empty.write_text(serialize_dfa(Dfa("01", 0, frozenset(), ((0, 0),))))
+    out = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["diff", str(chain), str(empty)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.n == len("finite 65535\n@\n") + 15 * 2 ** 16
+    assert peak < 4 * 2 ** 20

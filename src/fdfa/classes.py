@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import Dfa, disjoint_union
-from .minimize import moore_blocks
+from .minimize import StatePartition, moore_blocks
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,13 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     entry O(log b) times, so the pass costs O(k²·b log b) for k symbols after
     Moore refinement, and it builds no table of block pairs.
     """
-    part = moore_blocks(delta, accepting)
+    return _classes_of_blocks(delta, moore_blocks(delta, accepting))
+
+
+def _classes_of_blocks(delta, part: StatePartition) -> tuple[int, ...]:
+    # the block-merging pass of finite_difference_classes on a given partition
+    # into blocks of equal languages, so a caller that already holds one, or
+    # knows its table is minimized, skips refinement
     block_of, b = part.block_of, part.n_blocks
     succ: list[list[int] | None] = [None] * b
     for q, x in enumerate(block_of):
@@ -88,7 +94,10 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
 
 def state_class_partition(d: Dfa) -> StateClassPartition:
     """Group the states of ``d`` into ~ classes."""
-    class_of = finite_difference_classes(d.delta, d.accepting)
+    return _partition_of(finite_difference_classes(d.delta, d.accepting))
+
+
+def _partition_of(class_of: tuple[int, ...]) -> StateClassPartition:
     grouped: dict[int, list[int]] = {}
     for q, cid in enumerate(class_of):
         grouped.setdefault(cid, []).append(q)

@@ -271,10 +271,16 @@ def product_xor(a: Dfa, b: Dfa) -> ProductDfa:
     """Pair construction over the reachable product, accepting exactly where a, b disagree."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(f"alphabets differ: {a.alphabet!r} vs {b.alphabet!r}")
-    k = len(a.alphabet)
-    da, db = a.delta, b.delta
-    acc_a, acc_b = a.accepting, b.accepting
-    first = (a.start, b.start)
+    pairs, rows, accepting = _xor_rows(a.delta, a.accepting, b.delta, b.accepting,
+                                       (a.start, b.start))
+    dfa = Dfa._unchecked(a.alphabet, 0, accepting, tuple(rows))
+    return ProductDfa(dfa, tuple(pairs))
+
+
+def _xor_rows(da, acc_a, db, acc_b, first: tuple[int, int]):
+    # the pairs of two raw tables reachable from ``first``, numbered as found,
+    # their rows of pair ids, and the ids of the pairs where acceptance differs
+    k = len(da[first[0]])
     index: dict[tuple[int, int], int] = {first: 0}
     pairs: list[tuple[int, int]] = [first]
     rows: list[tuple[int, ...]] = []
@@ -296,8 +302,7 @@ def product_xor(a: Dfa, b: Dfa) -> ProductDfa:
     accepting = frozenset(
         i for i, (p, q) in enumerate(pairs) if (p in acc_a) != (q in acc_b)
     )
-    dfa = Dfa._unchecked(a.alphabet, 0, accepting, tuple(rows))
-    return ProductDfa(dfa, tuple(pairs))
+    return pairs, rows, accepting
 
 
 def disjoint_union(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:

@@ -9,13 +9,14 @@ machine of minimum size within its class (no local minima).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import Dfa, _trim, induce, states_reaching
-from .classes import state_class_partition
+from .core import Dfa, _forward_closure, _trim, _xor_rows, induce, states_reaching
+from .classes import _classes_of_blocks, _partition_of, state_class_partition
 from .language import _count_words, symmetric_difference
-from .minimize import is_minimized, minimize, moore_blocks
+from .minimize import StatePartition, is_minimized, minimize, moore_blocks
 from .parts import compute_parts, words_reaching
 
 
@@ -57,6 +58,21 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
     return _merge(d, p, q)
 
 
+class _Replay:
+    """The machines of one ``f_minimize`` call, rebuilt by replaying its merges
+    with :func:`_merge` from the minimized input, as far as a record asks."""
+
+    def __init__(self, first: Dfa, records: list[MergeRecord]):
+        self.machines = [first]
+        self.records = records
+
+    def machine(self, i: int) -> Dfa:
+        while len(self.machines) <= i:
+            r = self.records[len(self.machines) - 1]
+            self.machines.append(_merge(self.machines[-1], r.merged, r.target))
+        return self.machines[i]
+
+
 @dataclass(frozen=True)
 class MergeRecord:
     """One performed f-merge, with enough context to audit its diff bound.
@@ -67,7 +83,10 @@ class MergeRecord:
     record keeps the counts ``n_into`` = |X| and ``n_diff`` = |Z|, which can be
     exponential in the state count; ``words_into_merged`` and
     ``class_diff_words`` list X and Z from ``before`` only when asked.  State
-    ids refer to the machine current at merge time (``before``).
+    ids refer to the machine current at merge time (``before``).  A record
+    holds no machine: ``before`` and ``after`` are rebuilt on first read by
+    replaying the merges of its call, and the records of one call share that
+    replay.
     """
 
     merged: int
@@ -75,12 +94,20 @@ class MergeRecord:
     class_id: int
     n_into: int
     n_diff: int
-    before: Dfa
-    after: Dfa
+    _replay: _Replay = field(compare=False, repr=False)
+    _step: int = field(compare=False, repr=False)
 
     @property
     def bound(self) -> int:
         return self.n_into * self.n_diff
+
+    @cached_property
+    def before(self) -> Dfa:
+        return self._replay.machine(self._step)
+
+    @cached_property
+    def after(self) -> Dfa:
+        return self._replay.machine(self._step + 1)
 
     # listed once per record on the first read: a nested loop over X and Z
     # reads Z again for every word of X
@@ -96,19 +123,15 @@ class MergeRecord:
                                     induce(self.before, self.target)).words
 
 
-def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
-    finite = parts.finite
-    infinite = parts.infinite
-    candidates = [
-        p for p in finite if len(classes.members(classes.class_of[p])) > 1
-    ]
+def _pick_merge(finite, infinite, class_of, members, reverse: bool) -> tuple[int, int] | None:
+    candidates = [p for p in finite if len(members[class_of[p]]) > 1]
     if not candidates:
         return None
     # canonical order merges the largest-id candidate first: on canonically
     # minimized machines ids follow BFS depth, so deep states go first and a
     # merge cannot orphan the remaining candidates via trimming
     p = max(candidates) if not reverse else min(candidates)
-    mates = [s for s in classes.members(classes.class_of[p]) if s != p]
+    mates = [s for s in members[class_of[p]] if s != p]
     infinite_mates = [s for s in mates if s in infinite]
     pool = infinite_mates or mates
     q = min(pool) if not reverse else max(pool)
@@ -119,36 +142,79 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     """Minimize, then greedily f-merge until no finite-part state has a classmate.
 
     ``order`` is "canonical" or "reversed"; both reach a smallest machine in the
-    class, the trace merely differs.  Parts and classes are recomputed from
-    scratch after every merge.  Each record counts X and Z by paths and lists
-    no word, so the trace costs polynomial time however large its bounds are.
+    class, the trace merely differs.
+
+    The parts and ~ classes are computed once, on the minimized machine, and
+    carried through the merges, which leave both unchanged on the surviving
+    states (Holzer & Maletti, TCS 2010, Alg. 3): a merge changes the language
+    of only the finite-part ancestors of the merged state, and by finitely
+    many words; it closes no cycle; and the states it cuts off are finite-part
+    states that were reachable through the merged state alone.  The merges
+    run on one table in the minimized machine's ids.  Redirection and
+    trimming keep id order, so a state's id in the machine current at a merge
+    is its rank among the surviving ids.  Each record counts X and Z by paths
+    on that table and lists no word, so the trace costs polynomial time
+    however large its bounds are.
     """
     if order not in ("canonical", "reversed"):
         raise ValueError(f"unknown order {order!r}")
     reverse = order == "reversed"
-    m = minimize(d)
+    m0 = minimize(d)
+    n = m0.n_states
+    parts = compute_parts(m0)
+    finite, infinite = set(parts.finite), set(parts.infinite)
+    # m0 is minimized, so every state is its own Moore block
+    classes = _partition_of(_classes_of_blocks(m0.delta, StatePartition(tuple(range(n)), n)))
+    class_of = classes.class_of
+    members = {cls[0]: list(cls) for cls in classes.classes}
+    rows = [list(row) for row in m0.delta]
+    accepting = m0.accepting
+    start = m0.start
+    alive = list(range(n))  # sorted, so a state's id at merge time is its index here
+    preds: list[set[int]] = [set() for _ in range(n)]  # the live states with an edge in
+    for s, row in enumerate(rows):
+        for t in row:
+            preds[t].add(s)
     trace: list[MergeRecord] = []
+    replay = _Replay(m0, trace)
     while True:
-        parts = compute_parts(m)
-        classes = state_class_partition(m)
-        picked = _pick_merge(parts, classes, reverse)
+        picked = _pick_merge(finite, infinite, class_of, members, reverse)
         if picked is None:
             break
         p, q = picked
-        merged = _merge(m, p, q)
+        _, pair_rows, differ = _xor_rows(rows, accepting, rows, accepting, (p, q))
         trace.append(
             MergeRecord(
-                merged=p,
-                target=q,
-                class_id=classes.class_of[p],
-                # p is in the finite part, so every state reaching it is acyclic
-                n_into=_count_words(m, states_reaching(m.delta, {p}), {p}),
-                n_diff=symmetric_difference(induce(m, p), induce(m, q)).n_words,
-                before=m,
-                after=merged,
+                merged=bisect_left(alive, p),
+                target=bisect_left(alive, q),
+                class_id=bisect_left(alive, members[class_of[p]][0]),
+                # p is in the finite part, so every state reaching it is acyclic;
+                # a closure over the predecessor sets collects those states
+                n_into=_count_words(rows, start, _forward_closure(preds, (p,)), {p}),
+                n_diff=_count_words(pair_rows, 0, states_reaching(pair_rows, differ), differ),
+                _replay=replay,
+                _step=len(trace),
             )
         )
-        m = merged
+        for s in preds[p]:
+            rows[s] = [q if t == p else t for t in rows[s]]
+        preds[q] |= preds[p]
+        if start == p:
+            start = q
+        # the states a merge cuts off lie in the acyclic finite part, so one is
+        # cut off exactly when no live state has an edge into it any more
+        dropped = [p]
+        while dropped:
+            x = dropped.pop()
+            del alive[bisect_left(alive, x)]
+            finite.discard(x)
+            infinite.discard(x)
+            members[class_of[x]].remove(x)
+            for t in set(rows[x]):
+                preds[t].discard(x)
+                if not preds[t] and t != start:
+                    dropped.append(t)
+    m, _ = _trim(m0.alphabet, start, accepting, rows)
     if not is_minimized(m):
         raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
     return m, tuple(trace)
@@ -167,7 +233,8 @@ def is_f_minimal(d: Dfa) -> tuple[bool, tuple[int, int] | None]:
                 return False, (by_block[b], s)
             by_block[b] = s
     parts = compute_parts(d)
-    classes = state_class_partition(d)
+    # d is minimized, so its Moore blocks give its classes without refining again
+    classes = _partition_of(_classes_of_blocks(d.delta, part))
     for p in sorted(parts.finite):
         mates = [s for s in classes.members(classes.class_of[p]) if s != p]
         if mates:

@@ -88,7 +88,8 @@ class Classification:
         """``len(words)``, counted without listing; None for an infinite language."""
         if self.kind == INFINITE:
             return None
-        return _count_words(self.dfa, self._useful, self.dfa.accepting)
+        d = self.dfa
+        return _count_words(d.delta, d.start, self._useful, d.accepting)
 
 
 class InfiniteLanguageError(ValueError):
@@ -230,16 +231,17 @@ def _merge_blocks(blocks: list[bytes], width: int) -> bytes:
     return b"".join(sorted(records))
 
 
-def _count_words(d: Dfa, useful, targets) -> int:
-    """How many words :func:`_list_text` lists for the same arguments.
+def _count_words(delta, start: int, useful, targets) -> int:
+    """How many words lead from ``start`` through ``useful`` into ``targets``
+    in a raw transition table: for a machine's own table and start, as many as
+    :func:`_list_text` lists for the same ``useful`` and ``targets``.
 
     Counts paths instead of listing them: a dynamic program over the acyclic
     ``useful`` subgraph in reverse topological order, O(k·|useful|) steps and
     an exact int however many words there are.
     """
-    delta = d.delta
     count: dict[int, int] = {}
-    stack = [d.start]
+    stack = [start]
     while stack:
         q = stack[-1]
         if q in count:
@@ -252,7 +254,7 @@ def _count_words(d: Dfa, useful, targets) -> int:
             continue
         stack.pop()
         count[q] = (q in targets) + sum(count[t] for t in succ)
-    return count[d.start]
+    return count[start]
 
 
 def symmetric_difference(a: Dfa, b: Dfa) -> Classification:

@@ -14,7 +14,9 @@ for, lives here as well, and so does the per-pair witness check of ~
 (``states_finitely_different``, ``cross_finitely_different`` and
 ``dfas_finitely_different``): one xor product per pair, against which the
 tests compare the ~ engine.  ``iso_from_representatives`` checks its own
-precondition that both machines are minimized.
+precondition that both machines are minimized.  ``f_minimize_by_recomputation``
+recomputes the parts and ~ classes of the current machine before every merge
+instead of carrying those of the minimized input through the merges.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from fdfa.classes import class_matching
+from fdfa.classes import class_matching, state_class_partition
 from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
@@ -37,9 +39,10 @@ from fdfa.core import (
     states_on_cycles,
     states_reaching,
 )
+from fdfa.fmin import _merge
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
-from fdfa.language import Classification, symmetric_difference
+from fdfa.language import Classification, _count_words, symmetric_difference
 from fdfa.minimize import is_minimized, minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
 
@@ -349,3 +352,66 @@ def parse_dfa_by_lines(text: str, *, complete: bool = False) -> Dfa:
     new_id = {old: new for new, old in enumerate(keep)}
     delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
     return Dfa(alphabet, new_id[start], frozenset(new_id[q] for q in accepting if q in new_id), delta)
+
+
+@dataclass(frozen=True)
+class RecomputedMerge:
+    """One merge of :func:`f_minimize_by_recomputation`, holding both machines."""
+
+    merged: int
+    target: int
+    class_id: int
+    n_into: int
+    n_diff: int
+    before: Dfa
+    after: Dfa
+
+
+def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
+    finite = parts.finite
+    infinite = parts.infinite
+    candidates = [
+        p for p in finite if len(classes.members(classes.class_of[p])) > 1
+    ]
+    if not candidates:
+        return None
+    p = max(candidates) if not reverse else min(candidates)
+    mates = [s for s in classes.members(classes.class_of[p]) if s != p]
+    infinite_mates = [s for s in mates if s in infinite]
+    pool = infinite_mates or mates
+    q = min(pool) if not reverse else max(pool)
+    return p, q
+
+
+def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[RecomputedMerge, ...]]:
+    """``f_minimize`` with its parts and classes recomputed on the current
+    machine before every merge, and each merge a new machine by ``_merge``."""
+    if order not in ("canonical", "reversed"):
+        raise ValueError(f"unknown order {order!r}")
+    reverse = order == "reversed"
+    m = minimize(d)
+    trace: list[RecomputedMerge] = []
+    while True:
+        parts = compute_parts(m)
+        classes = state_class_partition(m)
+        picked = _pick_merge(parts, classes, reverse)
+        if picked is None:
+            break
+        p, q = picked
+        merged = _merge(m, p, q)
+        trace.append(
+            RecomputedMerge(
+                merged=p,
+                target=q,
+                class_id=classes.class_of[p],
+                # p is in the finite part, so every state reaching it is acyclic
+                n_into=_count_words(m.delta, m.start, states_reaching(m.delta, {p}), {p}),
+                n_diff=symmetric_difference(induce(m, p), induce(m, q)).n_words,
+                before=m,
+                after=merged,
+            )
+        )
+        m = merged
+    if not is_minimized(m):
+        raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
+    return m, tuple(trace)

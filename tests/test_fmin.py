@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,12 +13,16 @@ from fdfa.fmin import (
     redirect_boundary_transition,
 )
 from fdfa.language import symmetric_difference
-from fdfa.minimize import is_minimized
+from fdfa.minimize import is_minimized, moore_blocks
 from fdfa.parts import compute_parts
 
 import machines as fixtures
-from conftest import count_calls, dfas, sigma_upto
-from reference import dfas_finitely_different, states_finitely_different
+from conftest import acyclic_prefix_table, count_calls, dfas, sigma_upto, trie_on_kernel
+from reference import (
+    dfas_finitely_different,
+    f_minimize_by_recomputation,
+    states_finitely_different,
+)
 
 
 def zero_machine():
@@ -190,3 +196,66 @@ def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     assert len(records[0].words_into_merged) == 2 ** 12
     assert records[0].class_diff_words == ("",)
     assert len(calls) == 2
+
+
+def assert_minimizes_like_the_recomputation(d):
+    for order in ("canonical", "reversed"):
+        out, records = f_minimize(d, order=order)
+        ref_out, ref_records = f_minimize_by_recomputation(d, order=order)
+        assert out == ref_out
+        assert len(records) == len(ref_records)
+        for r, ref in zip(records, ref_records):
+            assert (r.merged, r.target, r.class_id, r.n_into, r.n_diff) == (
+                ref.merged, ref.target, ref.class_id, ref.n_into, ref.n_diff)
+            assert (r.before, r.after) == (ref.before, ref.after)
+
+
+def test_f_minimize_matches_the_recomputation_on_suite3(suite3):
+    for d in suite3:
+        assert_minimizes_like_the_recomputation(d)
+
+
+def test_f_minimize_matches_the_recomputation_on_generated_shapes():
+    for m in range(13):
+        assert_minimizes_like_the_recomputation(sigma_upto(m))
+    assert_minimizes_like_the_recomputation(sigma_upto(5, "abc"))
+    for seed in range(4):
+        assert_minimizes_like_the_recomputation(trie_on_kernel(30, 7, 3, seed))
+        assert_minimizes_like_the_recomputation(acyclic_prefix_table(40, seed))
+
+
+@given(dfas(max_states=6))
+@settings(max_examples=150, deadline=None)
+def test_f_minimize_matches_the_recomputation(d):
+    assert_minimizes_like_the_recomputation(d)
+
+
+def test_f_minimize_analyses_the_minimized_machine_once(monkeypatch):
+    blocks = count_calls(monkeypatch, moore_blocks)
+    parts = count_calls(monkeypatch, compute_parts)
+    out, records = f_minimize(sigma_upto(400))
+    assert out.n_states == 1
+    assert len(records) == 401
+    # one refinement in minimize and one in the closing is_minimized check
+    assert len(blocks) == 2
+    assert len(parts) == 1
+
+
+def test_f_minimize_stays_within_its_memory_bound():
+    d = sigma_upto(200)
+    tracemalloc.start()
+    try:
+        out, records = f_minimize(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 201
+    # the records hold no machine until one is read
+    assert peak < 1 << 20
+
+
+def test_is_f_minimal_refines_once_per_call(monkeypatch, suite3):
+    blocks = count_calls(monkeypatch, moore_blocks)
+    for i, d in enumerate(suite3[:200], 1):
+        is_f_minimal(d)
+        assert len(blocks) == i

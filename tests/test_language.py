@@ -186,7 +186,7 @@ def test_diff_words_are_exactly_the_disagreements(a, b):
 
 
 def assert_count_matches_listing(d, useful, targets):
-    n = _count_words(d, useful, targets)
+    n = _count_words(d.delta, d.start, useful, targets)
     # a listing can be exponentially long; compare only those that stay small
     if n <= 2 ** 14:
         assert n == _list_text(d, useful, targets).count("\n")

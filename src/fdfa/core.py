@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 Word = str  # the empty string is the empty word
@@ -67,6 +68,27 @@ def states_reaching(delta, targets: Iterable[int]) -> set[int]:
     return seen
 
 
+def _peel(rows, states) -> list[int]:
+    """The states of ``states`` that no cycle inside ``states`` reaches, in
+    the order they are peeled.
+
+    Kahn's in-degree peeling on the subgraph that ``states`` induces: the
+    in-degrees are counted for all rows at once, and a state whose in-degree
+    falls to 0 is peeled, which lowers its successors' in-degrees.  A state
+    left over has a predecessor left over, so walking back from it meets a
+    cycle.  Only the peeled states' rows are read one by one.
+    """
+    indeg = Counter(chain.from_iterable(map(rows.__getitem__, states)))
+    queue = list(set(states).difference(indeg))
+    for q in queue:
+        for t in rows[q]:
+            if t in states:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    queue.append(t)
+    return queue
+
+
 def strongly_connected_components(delta) -> list[list[int]]:
     """Tarjan's SCC over a transition table, iterative so deep machines cannot overflow."""
     rows = [tuple(row) for row in delta]
@@ -120,7 +142,11 @@ def strongly_connected_components(delta) -> list[list[int]]:
 
 
 def states_on_cycles(delta) -> set[int]:
-    """States lying on some cycle: in an SCC of size > 1, or carrying a self-loop."""
+    """States lying on some cycle: in an SCC of size > 1, or carrying a self-loop.
+
+    Only the lasso of an infinite language needs the states themselves; a
+    yes/no question about cycles is answered by :func:`_peel`.
+    """
     rows = [tuple(row) for row in delta]
     out: set[int] = set()
     for comp in strongly_connected_components(rows):

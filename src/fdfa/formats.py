@@ -159,7 +159,6 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
             _reject_transition(line, line_no, n, alphabet)
 
     missing = n * k - len(table)
-    sink = n
     if missing:
         if not complete:
             q, ci = next((q, ci) for q in range(n) for ci in range(k) if q * k + ci not in table)
@@ -167,30 +166,42 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
                 f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
                 f" ({missing} missing in total)"
             )
+        # rows exist only for states reachable from the start, so a huge
+        # declared state count with few lines costs what the lines cost
+        sink = n
         n += 1
         for ci in range(k):
             table[sink * k + ci] = sink
-
-    # rows exist only for states reachable from the start; missing transitions go to the sink
-    symbols = range(k)
-    rows = {start: tuple([table.get(start * k + ci, sink) for ci in symbols])}
-    queue = [start]
-    for q in queue:
-        for t in rows[q]:
-            if t not in rows:
-                base = t * k
-                rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
-                queue.append(t)
+        symbols = range(k)
+        rows = {start: tuple([table.get(start * k + ci, sink) for ci in symbols])}
+        reached = [start]
+        for q in reached:
+            for t in rows[q]:
+                if t not in rows:
+                    base = t * k
+                    rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
+                    reached.append(t)
+    else:
+        # the table is complete: read every row off it at once, k keys per row
+        rows = list(zip(*[map(table.__getitem__, range(n * k))] * k))
+        seen = bytearray(n)
+        seen[start] = 1
+        reached = [start]
+        for q in reached:
+            for t in rows[q]:
+                if not seen[t]:
+                    seen[t] = 1
+                    reached.append(t)
     # the checks above and this search establish everything Dfa.__post_init__ checks
-    if len(rows) == n:
+    if len(reached) == n:
         # every declared state is reachable, so the ids are already dense
-        delta = tuple([rows[q] for q in range(n)])
+        delta = tuple(map(rows.__getitem__, range(n)))
         return Dfa._unchecked(alphabet, start, frozenset(accepting), delta)
-    dropped = n - len(rows)
+    dropped = n - len(reached)
     plural = "" if dropped == 1 else "s"
     warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
     # reindex densely, keeping id order among the survivors as :func:`trim` does
-    keep = sorted(rows)
+    keep = sorted(reached)
     new_id = {old: new for new, old in enumerate(keep)}
     delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
     return Dfa._unchecked(alphabet, new_id[start],

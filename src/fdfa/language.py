@@ -9,6 +9,7 @@ from .core import (
     Dfa,
     Word,
     _lex_symbol_order,
+    _peel,
     product_xor,
     shortest_cycle_word,
     shortest_word_to,
@@ -41,10 +42,10 @@ class Lasso:
 class Classification:
     """What L(dfa) is: EMPTY, FINITE or INFINITE.
 
-    The verdict costs one backward closure and one cycle search.  The lasso
-    ``witness``, the listing ``text``, its word list ``words`` and the count
-    ``n_words`` are built from ``dfa`` on first read, so a caller that needs
-    only the verdict never pays for them.
+    The verdict costs one backward closure and one peel of the useful
+    states.  The lasso ``witness``, the listing ``text``, its word list
+    ``words`` and the count ``n_words`` are built from ``dfa`` on first read,
+    so a caller that needs only the verdict never pays for them.
     """
 
     kind: str  # EMPTY, FINITE or INFINITE
@@ -113,12 +114,13 @@ def classify_language(d: Dfa) -> Classification:
     """Decide whether L(d) is empty, finite, or infinite.
 
     A language is infinite exactly when some state that can still accept lies
-    on a cycle.
+    on a cycle.  Every state of such a cycle can accept too, so the cycle lies
+    inside the useful states, and peeling them leaves a state exactly then.
     """
     useful = useful_states(d)
     if d.start not in useful:
         kind = EMPTY
-    elif useful & states_on_cycles(d.delta):
+    elif len(_peel(d.delta, useful)) < len(useful):
         kind = INFINITE
     else:
         kind = FINITE

@@ -20,25 +20,26 @@ def moore_blocks(delta, accepting) -> StatePartition:
     """Refine {accepting, rejecting} by successor blocks until stable.
 
     Works on a raw transition table (rows of successor ids), which need not be
-    a valid :class:`Dfa`: states unreachable from any start are fine.
+    a valid :class:`Dfa`: states unreachable from any start are fine.  Each
+    round reads the table by columns: a state's signature is its block and its
+    successors' blocks, built for all states by one ``zip``, and blocks are
+    numbered in first-seen state order.
     """
-    n = len(delta)
-    labels: dict[bool, int] = {}
-    block = [0] * n
-    for q in range(n):
-        key = q in accepting
-        block[q] = labels.setdefault(key, len(labels))
-    count = len(labels)
+    columns = list(zip(*delta))
+    block, count = _first_seen_ids(list(map(accepting.__contains__, range(len(delta)))))
     while True:
-        sigs: dict[tuple[int, ...], int] = {}
-        new = [0] * n
-        for q in range(n):
-            sig = (block[q], *(block[t] for t in delta[q]))
-            new[q] = sigs.setdefault(sig, len(sigs))
-        block = new
-        if len(sigs) == count:
+        sigs = list(zip(block, *[map(block.__getitem__, c) for c in columns]))
+        block, new_count = _first_seen_ids(sigs)
+        if new_count == count:
             return StatePartition(tuple(block), count)
-        count = len(sigs)
+        count = new_count
+
+
+def _first_seen_ids(keys: list) -> tuple[list[int], int]:
+    # each key's rank among the distinct keys in order of first appearance,
+    # and the number of distinct keys
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return list(map(ids.__getitem__, keys)), len(ids)
 
 
 def minimize_with_map(d: Dfa) -> tuple[Dfa, tuple[int, ...]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, _forward_closure, states_on_cycles, states_reaching
+from .core import Dfa, Word, _peel, states_reaching
 from .language import _list_text
 
 
@@ -20,10 +20,11 @@ class PartsPartition:
 
 
 def compute_parts(d: Dfa) -> PartsPartition:
-    """Split states by cycle reachability: infinite = forward closure of on-cycle states."""
-    infinite = _forward_closure(d.delta, states_on_cycles(d.delta))
-    finite = frozenset(set(d.states) - infinite)
-    return PartsPartition(finite, frozenset(infinite))
+    """Split states by cycle reachability: the finite part is what peeling the
+    whole table removes, and the states left over, the forward closure of the
+    on-cycle states, are the infinite part."""
+    finite = frozenset(_peel(d.delta, d.states))
+    return PartsPartition(finite, frozenset(d.states).difference(finite))
 
 
 def words_reaching(d: Dfa, q: int) -> list[Word]:

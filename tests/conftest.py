@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from fdfa.core import Dfa, trim
+from fdfa.core import Dfa, disjoint_union, trim
 
 from oracle import enumerate_all_dfas
 
@@ -51,6 +51,36 @@ def dfas(draw, max_states=4, alphabet="01"):
     accepting = frozenset(q for q in range(n) if draw(st.booleans()))
     d, _ = trim(alphabet, start, accepting, delta)
     return d
+
+
+@st.composite
+def raw_tables(draw, max_states=6, alphabet="01"):
+    """A raw transition table and accepting set: a random table, whose states
+    need not be reachable from any one state, or the disjoint union of two
+    random machines."""
+    if draw(st.booleans()):
+        return disjoint_union(draw(dfas(max_states // 2, alphabet)),
+                              draw(dfas(max_states // 2, alphabet)))
+    n = draw(st.integers(1, max_states))
+    delta = tuple(
+        tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n)
+    )
+    return delta, frozenset(q for q in range(n) if draw(st.booleans()))
+
+
+def structured_machines():
+    """Deep, acyclic-prefixed and trie-shaped machines of up to a few hundred
+    states: every Σ^{≤m} chain for m ≤ 50, reversed self-loop chains,
+    acyclic-prefix tables and tries on small kernels, over two and three
+    symbols."""
+    out = [sigma_upto(m, alphabet) for m in range(51) for alphabet in ("01", "012")]
+    out += [reversed_loop_chain(n, alphabet) for n in (1, 2, 50, 300) for alphabet in ("01", "012")]
+    out += [acyclic_prefix_table(n, seed, alphabet) for n in (2, 40, 300) for seed in (1, 2)
+            for alphabet in ("01", "012")]
+    out += [trie_on_kernel(n_words, max_len, kernel, seed, alphabet)
+            for n_words, max_len, kernel in ((1, 0, 1), (12, 6, 3), (40, 10, 5))
+            for seed in (1, 2) for alphabet in ("01", "012")]
+    return out
 
 
 def sigma_upto(m, alphabet="01"):

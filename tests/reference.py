@@ -1,15 +1,19 @@
 """Second implementations that the tests compare the package against.
 
 Each one reaches the same answer as a runtime procedure by a different route:
-the parts by layered counting instead of cycle reachability, finiteness by the
-shape of the minimal machine instead of cycle analysis, the ~ classes by cycle
-reachability in the graph of block pairs instead of merging blocks with equal
-successor vectors, the infinite-part isomorphism through long representative
-words instead of one Moore partition, and the ``dfa v1`` reader as a per-token
-parse of each logical line keyed by (state, symbol) pairs instead of one
-tokenization per line keyed by ints, and the finite word list as one
-(state, word) pair per prefix instead of one byte block of fixed-width records
-per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
+the parts by layered counting, or as the forward closure of the states that
+Tarjan's SCCs put on a cycle, instead of in-degree peeling; the verdict
+empty/finite/infinite by asking whether a useful state lies on such a cycle
+instead of peeling the useful states; Moore refinement by one signature per
+state and round instead of one pass over the table's columns; finiteness by
+the shape of the minimal machine instead of cycle analysis, the ~ classes by
+cycle reachability in the graph of block pairs instead of merging blocks with
+equal successor vectors, the infinite-part isomorphism through long
+representative words instead of one Moore partition, and the ``dfa v1`` reader
+as a per-token parse of each logical line keyed by (state, symbol) pairs
+instead of one tokenization per line keyed by ints, and the finite word list
+as one (state, word) pair per prefix instead of one byte block of fixed-width
+records per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
 for, lives here as well, and so does the per-pair witness check of ~
 (``states_finitely_different``, ``cross_finitely_different`` and
 ``dfas_finitely_different``): one xor product per pair, against which the
@@ -29,6 +33,7 @@ from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
     Word,
+    _forward_closure,
     _lex_symbol_order,
     check_alphabet,
     induce,
@@ -42,8 +47,16 @@ from fdfa.core import (
 from fdfa.fmin import _merge
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
-from fdfa.language import Classification, _count_words, symmetric_difference
-from fdfa.minimize import is_minimized, minimize, moore_blocks
+from fdfa.language import (
+    EMPTY,
+    FINITE,
+    INFINITE,
+    Classification,
+    _count_words,
+    symmetric_difference,
+    useful_states,
+)
+from fdfa.minimize import StatePartition, is_minimized, minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
 
 
@@ -63,6 +76,46 @@ def compute_parts_by_counting(d: Dfa) -> PartsPartition:
         layer = {t for q in layer for t in delta[q]}
     finite = frozenset(set(d.states) - infinite)
     return PartsPartition(finite, frozenset(infinite))
+
+
+def compute_parts_by_cycles(d: Dfa) -> PartsPartition:
+    """Split states by cycle reachability: the infinite part is the forward
+    closure of the states that Tarjan's SCCs put on a cycle."""
+    infinite = _forward_closure(d.delta, states_on_cycles(d.delta))
+    finite = frozenset(set(d.states) - infinite)
+    return PartsPartition(finite, frozenset(infinite))
+
+
+def language_kind_by_cycles(d: Dfa) -> str:
+    """EMPTY, FINITE or INFINITE: infinite exactly when a useful state lies on
+    a cycle that Tarjan's SCCs find."""
+    useful = useful_states(d)
+    if d.start not in useful:
+        return EMPTY
+    return INFINITE if useful & states_on_cycles(d.delta) else FINITE
+
+
+def moore_blocks_by_states(delta, accepting) -> StatePartition:
+    """Refine {accepting, rejecting} by successor blocks until stable, one
+    signature tuple per state and round; blocks are numbered in first-seen
+    state order, as :func:`fdfa.minimize.moore_blocks` numbers them."""
+    n = len(delta)
+    labels: dict[bool, int] = {}
+    block = [0] * n
+    for q in range(n):
+        key = q in accepting
+        block[q] = labels.setdefault(key, len(labels))
+    count = len(labels)
+    while True:
+        sigs: dict[tuple[int, ...], int] = {}
+        new = [0] * n
+        for q in range(n):
+            sig = (block[q], *(block[t] for t in delta[q]))
+            new[q] = sigs.setdefault(sig, len(sigs))
+        block = new
+        if len(sigs) == count:
+            return StatePartition(tuple(block), count)
+        count = len(sigs)
 
 
 def finite_language_by_minimization(d: Dfa) -> bool:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa.core import Dfa
+from fdfa.core import Dfa, trim
 from fdfa.formats import (
     DfaFormatError,
     TrimWarning,
@@ -16,6 +17,7 @@ from fdfa.formats import (
     serialize_dfa,
     serialize_word_list,
 )
+from fdfa.minimize import moore_blocks
 
 import machines as fixtures
 from conftest import dfas
@@ -118,17 +120,23 @@ def test_incomplete_table_rejected_and_completable():
 HUGE_DECLARATION = "dfa v1\nalphabet 01\nstates 1000000\nstart 0\naccept 0 999999\n0 0 0\n"
 
 
-def parse_traced(text, **kwargs):
-    """Parse under tracemalloc; returns the result (or error) and the peak in bytes."""
+def traced_peak(fn):
+    """Call ``fn`` under tracemalloc; returns its result and the peak in bytes."""
     tracemalloc.start()
     try:
-        try:
-            result = parse_dfa(text, **kwargs)
-        except DfaFormatError as exc:
-            result = exc
-        return result, tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def parse_traced(text, **kwargs):
+    """Parse under tracemalloc; returns the result (or error) and the peak in bytes."""
+    def parse():
+        try:
+            return parse_dfa(text, **kwargs)
+        except DfaFormatError as exc:
+            return exc
+    return traced_peak(parse)
 
 
 def test_short_table_is_rejected_without_allocating_the_declared_states():
@@ -145,6 +153,22 @@ def test_completing_a_short_table_builds_rows_only_for_reachable_states():
         d, peak = parse_traced(HUGE_DECLARATION, complete=True)
     assert d == Dfa("01", 0, {0}, ((0, 1), (1, 1)))
     assert peak < 2_000_000
+
+
+def test_reading_rows_off_a_complete_table_stays_within_its_memory_bound():
+    # a random 3-symbol table on 20,000 states, of which 18,777 are reachable
+    rng = random.Random(20_000)
+    n = 20_000
+    delta = tuple(tuple(rng.randrange(n) for _ in "012") for _ in range(n))
+    d, _ = trim("012", 0, frozenset(q for q in range(n) if rng.random() < 0.5), delta)
+    text = serialize_dfa(d)
+    parsed, parse_peak = traced_peak(lambda: parse_dfa(text))
+    assert parsed == d
+    # 1.1 times the 10.77 MiB peak (CPython 3.11) of building one row tuple
+    # per reached state from k lookups in the table
+    assert parse_peak < 1.1 * 10.77 * 2 ** 20
+    _, moore_peak = traced_peak(lambda: moore_blocks(parsed.delta, parsed.accepting))
+    assert moore_peak < parse_peak
 
 
 def test_unreachable_states_trimmed_with_warning():

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from fdfa.core import (
     shortest_cycle_word,
     states_on_cycles,
     states_reaching,
+    strongly_connected_components,
     trim,
 )
 from fdfa.fmin import flip_finite_acceptance
@@ -36,9 +38,11 @@ from fdfa.language import (
 from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
-from conftest import dfas, sigma_upto, trie_on_kernel
+from conftest import count_calls, dfas, sigma_upto, structured_machines, trie_on_kernel
 from oracle import oracle_diff
-from reference import list_words_by_prefixes
+from reference import language_kind_by_cycles, list_words_by_prefixes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_shortlex_orders_by_length_then_characters():
@@ -148,6 +152,39 @@ def test_an_infinite_verdict_builds_its_lasso_once_and_only_when_read(monkeypatc
     assert calls == []
     assert diff.witness is diff.witness
     assert len(calls) == 1
+
+
+def test_peeled_verdict_matches_the_cycle_rule_on_xor_products(suite2, suite3):
+    # every pair of machines of at most 2 states, and each machine of at most
+    # 3 states against a partner spread over the whole suite
+    pairs = [(a, b) for a in suite2 for b in suite2]
+    pairs += [(a, suite3[(7919 * i + 1) % len(suite3)]) for i, a in enumerate(suite3)]
+    for a, b in pairs:
+        prod = product_xor(a, b).dfa
+        assert classify_language(prod).kind == language_kind_by_cycles(prod), (a, b)
+
+
+def test_peeled_verdict_matches_the_cycle_rule(suite3):
+    for d in (*suite3, *structured_machines()):
+        assert classify_language(d).kind == language_kind_by_cycles(d), d
+    for d in structured_machines():
+        empty = Dfa(d.alphabet, 0, frozenset(), ((0,) * len(d.alphabet),))
+        prod = product_xor(d, empty).dfa
+        assert classify_language(prod).kind == language_kind_by_cycles(prod), d
+
+
+def test_a_verdict_finds_no_strongly_connected_components(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, strongly_connected_components)
+    assert symmetric_difference(sigma_upto(30), fixtures.empty()).kind == FINITE
+    diff = symmetric_difference(fixtures.odd_length(), fixtures.even_length())
+    assert diff.kind == INFINITE
+    assert main(["findiff", str(FIXTURES / "zstar.dfa"), str(FIXTURES / "onezstar.dfa")]) == 1
+    assert main(["findiff", str(FIXTURES / "sigplus.dfa"), str(FIXTURES / "all.dfa")]) == 0
+    assert capsys.readouterr().out == "not-finitely-different\nfinitely-different\n"
+    assert calls == []
+    # the lasso names the smallest useful state on a cycle, so it still needs them
+    assert diff.witness is not None
+    assert len(calls) >= 1
 
 
 def test_symmetric_difference_infinite_with_pumpable_witness():

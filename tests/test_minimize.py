@@ -12,8 +12,9 @@ from fdfa.minimize import (
 )
 
 import machines as fixtures
-from conftest import dfas
+from conftest import dfas, raw_tables, structured_machines
 from oracle import oracle_diff
+from reference import moore_blocks_by_states
 
 
 def test_minimize_collapses_equivalent_states():
@@ -57,6 +58,16 @@ def test_moore_partition_blocks():
     assert part.n_blocks == 2
     assert part.block_of[1] == part.block_of[2]
 
+
+def test_column_rounds_number_blocks_like_the_per_state_rounds(suite3):
+    for d in (*suite3, *structured_machines()):
+        assert moore_blocks(d.delta, d.accepting) == moore_blocks_by_states(d.delta, d.accepting)
+
+
+@given(raw_tables())
+def test_column_rounds_number_blocks_like_the_per_state_rounds_on_raw_tables(table):
+    # unreachable rows and disjoint unions are allowed: no start is needed
+    assert moore_blocks(*table) == moore_blocks_by_states(*table)
 
 def test_distinguishing_word_examples():
     oz = fixtures.onezstar()

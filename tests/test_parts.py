@@ -1,14 +1,19 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
+from fdfa.cli import main
 from fdfa.construct import construct_pair
-from fdfa.core import Dfa
+from fdfa.core import Dfa, strongly_connected_components
 from fdfa.language import enumerate_finite_language
 from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
-from conftest import dfas, reversed_loop_chain
-from reference import compute_parts_by_counting
+from conftest import count_calls, dfas, reversed_loop_chain, structured_machines
+from reference import compute_parts_by_counting, compute_parts_by_cycles
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parts_of_fixtures():
@@ -45,7 +50,21 @@ def test_construction_outputs_have_no_finite_part():
 
 @given(dfas(max_states=6))
 def test_counting_agrees_with_cycle_reachability(d):
-    assert compute_parts(d) == compute_parts_by_counting(d)
+    assert compute_parts(d) == compute_parts_by_counting(d) == compute_parts_by_cycles(d)
+
+
+def test_peeling_agrees_with_counting_and_cycle_closure(suite3):
+    for d in (*suite3, *structured_machines()):
+        assert compute_parts(d) == compute_parts_by_counting(d) == compute_parts_by_cycles(d), d
+
+
+def test_parts_find_no_strongly_connected_components(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, strongly_connected_components)
+    compute_parts(reversed_loop_chain(50))
+    compute_parts(fixtures.finite_language_dfa(["0", "10"]))
+    assert main(["parts", str(FIXTURES / "onezstar.dfa")]) == 0
+    assert capsys.readouterr().out == "finite: 0\ninfinite: 1 2\n"
+    assert calls == []
 
 
 @given(dfas(max_states=5))

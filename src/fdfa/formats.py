@@ -21,6 +21,7 @@ rendered as ``@`` wherever words appear in text.
 
 from __future__ import annotations
 
+import re
 import warnings
 from typing import NoReturn
 
@@ -83,13 +84,17 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     Unreachable states are dropped with a :class:`TrimWarning` and ids reindexed
     densely.  A missing transition is an error unless ``complete=True``, which
     routes every missing transition to a fresh rejecting sink before validation.
-    Each transition line is split once; the checks cost what the input holds,
-    never what ``states`` declares.
+    A transition section in the canonical layout :func:`serialize_dfa` writes
+    is read by columns; any other text is read and checked line by line.
+    Either way the checks cost what the input holds, never what ``states``
+    declares.
     """
-    numbered = enumerate(text.splitlines(), start=1)
+    lines = _numbered_lines(text)
+    body = 0  # offset of the text after the last line read
 
     def next_line(expect: str):
-        for line_no, raw in numbered:
+        nonlocal body
+        for line_no, raw, body in lines:
             content = raw.split("#", 1)[0].strip()
             if content:
                 return line_no, content
@@ -137,6 +142,104 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
                 raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
             accepting.add(q)
 
+    if not complete:
+        rows = _read_columns(text, body, alphabet, n, start)
+        if rows is not None:
+            # the column checks and the search establish everything Dfa.__post_init__ checks
+            return Dfa._unchecked(alphabet, start, frozenset(accepting), tuple(rows))
+    numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
+    return _read_lines(numbered, alphabet, n, start, accepting, complete)
+
+
+# the line breaks of str.splitlines
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+
+
+def _numbered_lines(text: str):
+    """(line number, line, offset after its break) for each line of ``text.splitlines()``, lazily."""
+    pos = 0
+    line_no = 0
+    while pos < len(text):
+        m = _LINE.match(text, pos)
+        pos = m.end()
+        line_no += 1
+        yield line_no, m.group(1), pos
+
+
+_CHUNK = 1 << 15  # characters of transition text checked and split at once
+_CANONICAL_LINES = re.compile(r"(?:[0-9]+ [^\s#] [0-9]+\n)*")
+
+
+def _read_columns(text: str, pos: int, alphabet: str, n: int, start: int) -> list[tuple[int, ...]] | None:
+    """Rows of a transition section in canonical layout at ``text[pos:]``, or None.
+
+    The canonical layout is one ``<src> <sym> <dst>`` line per transition,
+    ending in ``\\n``, sorted by (source, symbol in character order), with every
+    state reachable from ``start``.  The text is read in chunks of whole rows
+    that end on a line break; each chunk is checked by one regex, split once,
+    and compared column by column with the ids and symbols that layout puts
+    there.  Any other text, and a table this check cannot accept whole, gives
+    None; until then it holds what the text read holds, not what ``n`` declares.
+    """
+    k = len(alphabet)
+    order = sorted(range(k), key=alphabet.__getitem__)
+    symbols = "".join(map(alphabet.__getitem__, order))
+    columns: list[list[int]] = [[] for _ in range(k)]  # targets by alphabet position
+    q = 0  # the state whose row comes next
+    end = len(text)
+    while pos < end:
+        stop = text.find("\n", min(pos + _CHUNK, end) - 1) + 1 or end
+        chunk = text[pos:stop]
+        if not _CANONICAL_LINES.fullmatch(chunk):
+            return None
+        tokens = chunk.split()
+        count, extra = divmod(len(tokens) // 3, k)  # whole rows, lines of a partial row
+        if extra:
+            # a partial row goes to the next chunk; each token is followed by one space or \n
+            tail = tokens[3 * k * count:]
+            stop -= sum(map(len, tail)) + len(tail)
+            del tokens[3 * k * count:]
+        sources = tokens[0::3]
+        firsts = sources[0::k]
+        if (not count or firsts != list(map(str, range(q, q + count)))
+                or any(sources[j::k] != firsts for j in range(1, k))
+                or "".join(tokens[1::3]) != symbols * count):
+            return None
+        try:
+            targets = list(map(int, tokens[2::3]))
+        except ValueError:  # more digits than int() converts
+            return None
+        if max(targets) >= n:
+            return None
+        for j, ci in enumerate(order):
+            columns[ci] += targets[j::k]
+        q += count
+        pos = stop
+    if q != n:
+        return None
+    rows = list(zip(*columns))
+    return rows if len(_search(rows, start)) == n else None
+
+
+def _search(rows, start: int) -> list[int]:
+    """The states reachable from ``start`` in a list of rows, in breadth-first order."""
+    seen = bytearray(len(rows))
+    seen[start] = 1
+    reached = [start]
+    for q in reached:
+        for t in rows[q]:
+            if not seen[t]:
+                seen[t] = 1
+                reached.append(t)
+    return reached
+
+
+def _read_lines(numbered, alphabet: str, n: int, start: int, accepting: set[int], complete: bool) -> Dfa:
+    """The machine of the transition lines ``numbered`` holds, checked line by line.
+
+    Each transition line is split once; the first failed check names its line.
+    """
     k = len(alphabet)
     index = {sym: ci for ci, sym in enumerate(alphabet)}
     table: dict[int, int] = {}  # src * k + ci -> dst
@@ -184,14 +287,7 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     else:
         # the table is complete: read every row off it at once, k keys per row
         rows = list(zip(*[map(table.__getitem__, range(n * k))] * k))
-        seen = bytearray(n)
-        seen[start] = 1
-        reached = [start]
-        for q in reached:
-            for t in rows[q]:
-                if not seen[t]:
-                    seen[t] = 1
-                    reached.append(t)
+        reached = _search(rows, start)
     # the checks above and this search establish everything Dfa.__post_init__ checks
     if len(reached) == n:
         # every declared state is reachable, so the ids are already dense
@@ -199,7 +295,7 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
         return Dfa._unchecked(alphabet, start, frozenset(accepting), delta)
     dropped = n - len(reached)
     plural = "" if dropped == 1 else "s"
-    warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=2)
+    warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=3)
     # reindex densely, keeping id order among the survivors as :func:`trim` does
     keep = sorted(reached)
     new_id = {old: new for new, old in enumerate(keep)}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import Dfa, Word, _lex_symbol_order, induce, product_xor, shortest_word_to
@@ -56,26 +55,22 @@ def minimize_with_map(d: Dfa) -> tuple[Dfa, tuple[int, ...]]:
     for q in range(d.n_states - 1, -1, -1):  # keep the smallest state as representative
         rep[block_of[q]] = q
     order = _lex_symbol_order(d)
-    new_id = {block_of[d.start]: 0}
-    queue = deque([block_of[d.start]])
-    while queue:
-        b = queue.popleft()
+    new_id = [-1] * nb
+    new_id[block_of[d.start]] = 0
+    queue = [block_of[d.start]]  # blocks by new id
+    for b in queue:
         row = d.delta[rep[b]]
         for ci, _ in order:
             tb = block_of[row[ci]]
-            if tb not in new_id:
-                new_id[tb] = len(new_id)
+            if new_id[tb] < 0:
+                new_id[tb] = len(queue)
                 queue.append(tb)
-    delta = [None] * nb
-    accepting = set()
-    for b in range(nb):
-        i = new_id[b]
-        r = rep[b]
-        delta[i] = tuple(new_id[block_of[t]] for t in d.delta[r])
-        if r in d.accepting:
-            accepting.add(i)
-    quotient = Dfa._unchecked(d.alphabet, 0, frozenset(accepting), tuple(delta))
-    return quotient, tuple(new_id[block_of[q]] for q in range(d.n_states))
+    state_new = list(map(new_id.__getitem__, block_of))
+    rep_rows = [d.delta[rep[b]] for b in queue]
+    delta = tuple(zip(*[map(state_new.__getitem__, column) for column in zip(*rep_rows)]))
+    accepting = frozenset(map(state_new.__getitem__, d.accepting))
+    quotient = Dfa._unchecked(d.alphabet, 0, accepting, delta)
+    return quotient, tuple(state_new)
 
 
 def minimize(d: Dfa) -> Dfa:

@@ -6,32 +6,32 @@ that a seed gives the same machine on every platform and Python version.
 
 from __future__ import annotations
 
-from .core import Dfa, reachable_states
+from itertools import compress
+
+from .core import Dfa, check_alphabet, reachable_states
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 
-class Lcg:
-    """x' = (6364136223846793005*x + 1442695040888963407) mod 2**64; draws are the top 32 bits."""
+def _below(x: int, n: int, count: int) -> tuple[int, list[int]]:
+    """``count`` uniform draws in [0, n) from LCG state ``x``; returns the new state and the draws.
 
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u32(self) -> int:
-        self.state = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
-        return self.state >> 32
-
-    def below(self, n: int) -> int:
-        """Uniform draw in [0, n) by rejection on the top 32 bits."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (1 << 32) - ((1 << 32) % n)
-        while True:
-            x = self.next_u32()
-            if x < limit:
-                return x % n
+    x' = (6364136223846793005*x + 1442695040888963407) mod 2**64, and a draw is
+    the top 32 bits of x', rejected while it is at least 2**32 - (2**32 mod n)
+    and then reduced mod n.
+    """
+    mult, inc, mask = _LCG_MULT, _LCG_INC, _MASK64
+    limit = (1 << 32) - (1 << 32) % n
+    draws = []
+    append = draws.append
+    for _ in range(count):
+        x = (x * mult + inc) & mask
+        while x >> 32 >= limit:
+            x = (x * mult + inc) & mask
+        append((x >> 32) % n)
+    return x, draws
 
 
 def random_dfa(n_states: int, alphabet: str, seed: int) -> Dfa:
@@ -42,15 +42,15 @@ def random_dfa(n_states: int, alphabet: str, seed: int) -> Dfa:
     bit per state in ascending order.  Attempts whose machine has unreachable
     states are discarded wholesale and the draws continue.
     """
+    check_alphabet(alphabet)
     if n_states < 1:
         raise ValueError("need at least one state")
-    rng = Lcg(seed)
     k = len(alphabet)
+    x = seed & _MASK64
     while True:
-        delta = tuple(
-            tuple(rng.below(n_states) for _ in range(k)) for _ in range(n_states)
-        )
-        start = rng.below(n_states)
-        accepting = frozenset(q for q in range(n_states) if rng.below(2) == 1)
+        x, targets = _below(x, n_states, n_states * k + 1)
+        start = targets.pop()
+        delta = tuple(zip(*[iter(targets)] * k))
+        x, bits = _below(x, 2, n_states)
         if len(reachable_states(delta, start)) == n_states:
-            return Dfa(alphabet, start, accepting, delta)
+            return Dfa(alphabet, start, frozenset(compress(range(n_states), bits)), delta)

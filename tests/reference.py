@@ -11,7 +11,8 @@ cycle reachability in the graph of block pairs instead of merging blocks with
 equal successor vectors, the infinite-part isomorphism through long
 representative words instead of one Moore partition, and the ``dfa v1`` reader
 as a per-token parse of each logical line keyed by (state, symbol) pairs
-instead of one tokenization per line keyed by ints, and the finite word list
+instead of reading canonical text by columns and other text with one
+tokenization per line keyed by ints, and the finite word list
 as one (state, word) pair per prefix instead of one byte block of fixed-width
 records per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
 for, lives here as well, and so does the per-pair witness check of ~
@@ -21,6 +22,8 @@ tests compare the ~ engine.  ``iso_from_representatives`` checks its own
 precondition that both machines are minimized.  ``f_minimize_by_recomputation``
 recomputes the parts and ~ classes of the current machine before every merge
 instead of carrying those of the minimized input through the merges.
+``random_dfa_by_lcg`` draws each random machine through the method calls of
+an ``Lcg`` object instead of one local-variable loop per batch of draws.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from fdfa.language import (
 )
 from fdfa.minimize import StatePartition, is_minimized, minimize, moore_blocks
 from fdfa.parts import PartsPartition, compute_parts
+from fdfa.rand import _LCG_INC, _LCG_MULT, _MASK64
 
 
 def compute_parts_by_counting(d: Dfa) -> PartsPartition:
@@ -468,3 +472,40 @@ def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Df
     if not is_minimized(m):
         raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
     return m, tuple(trace)
+
+
+class Lcg:
+    """x' = (6364136223846793005*x + 1442695040888963407) mod 2**64; draws are the top 32 bits."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u32(self) -> int:
+        self.state = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
+        return self.state >> 32
+
+    def below(self, n: int) -> int:
+        """Uniform draw in [0, n) by rejection on the top 32 bits."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = (1 << 32) - ((1 << 32) % n)
+        while True:
+            x = self.next_u32()
+            if x < limit:
+                return x % n
+
+
+def random_dfa_by_lcg(n_states: int, alphabet: str, seed: int) -> Dfa:
+    """Seeded random DFA with all states reachable, in the draw order ``random_dfa`` documents."""
+    if n_states < 1:
+        raise ValueError("need at least one state")
+    rng = Lcg(seed)
+    k = len(alphabet)
+    while True:
+        delta = tuple(
+            tuple(rng.below(n_states) for _ in range(k)) for _ in range(n_states)
+        )
+        start = rng.below(n_states)
+        accepting = frozenset(q for q in range(n_states) if rng.below(2) == 1)
+        if len(reachable_states(delta, start)) == n_states:
+            return Dfa(alphabet, start, accepting, delta)

@@ -25,11 +25,12 @@ from fdfa.iso import finite_part_iso, infinite_part_iso, verify_bijection
 from fdfa.language import symmetric_difference
 from fdfa.minimize import is_minimized, minimize
 from fdfa.parts import compute_parts
-from fdfa.rand import Lcg, random_dfa
+from fdfa.rand import random_dfa
 
 import machines as fixtures
 from oracle import oracle_diff, oracle_is_f_minimal
 from reference import (
+    Lcg,
     compute_parts_by_counting,
     dfas_finitely_different,
     signature_equal,

@@ -182,6 +182,15 @@ def test_random_output_passes_check(tmp_path):
     assert run_cli("check", str(out)).returncode == 0
 
 
+@pytest.mark.parametrize("alphabet, message", [
+    ("", "alphabet is empty"), ("00", "duplicate alphabet symbol '0'")])
+def test_random_rejects_a_bad_alphabet_in_one_line(alphabet, message):
+    r = run_cli("random", "--states", "2", "--alphabet", alphabet, "--seed", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"fdfa: error: {message}\n"
+
+
 def test_oracle_diff_is_an_unknown_command():
     r = run_cli("oracle-diff", fix("odd"), fix("even"), "--bound", "1")
     assert r.returncode == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdfa import formats
 from fdfa.core import Dfa, trim
 from fdfa.formats import (
     DfaFormatError,
@@ -20,7 +21,7 @@ from fdfa.formats import (
 from fdfa.minimize import moore_blocks
 
 import machines as fixtures
-from conftest import dfas
+from conftest import dfas, sigma_upto
 from reference import parse_dfa_by_lines
 
 ZSTAR_TEXT = """dfa v1
@@ -268,3 +269,115 @@ def test_parser_matches_the_line_by_line_reference(text, complete):
         assert checked == m
         assert type(m.accepting) is frozenset
         assert type(m.delta) is tuple and all(type(row) is tuple for row in m.delta)
+
+
+def relabeled(d, alphabet):
+    """``d`` with its alphabet positions renamed to the symbols of ``alphabet``."""
+    return Dfa._unchecked(alphabet, d.start, d.accepting, d.delta)
+
+
+def text_variants(d):
+    """``serialize_dfa(d)`` and copies of it mutated once, each with a name.
+
+    Each mutation breaks one property of the canonical layout: some keep the
+    machine, some make an error, and one adds a state nothing reaches.
+    """
+    text = serialize_dfa(d)
+    *head, rest = text.split("\n", 5)
+    body = rest.splitlines()
+    n, k = d.n_states, len(d.alphabet)
+    src, sym, dst = body[-1].split()
+
+    def join(lines, header=head):
+        return "\n".join(header + lines) + "\n"
+
+    yield "canonical", text
+    yield "truncated", join(body[:-1])
+    yield "duplicated line", join(body[:1] + body)
+    yield "duplicated last line", join(body + body[-1:])
+    yield "extra unreachable state", join(body + [f"{n} {a} {n}" for a in sorted(d.alphabet)],
+                                          head[:2] + [f"states {n + 1}"] + head[3:])
+    yield "bad target", join(body[:-1] + [f"{src} {sym} {n}"])
+    yield "bad symbol", join(body[:-1] + [f"{src} # {dst}"])
+    yield "symbols out of order", join(body[:-2] + body[-2:][::-1])
+    yield "rows out of order", join(body[-k:] + body[:-k])
+    yield "last row dropped", join(body[:-k])
+    swapped = body[:]
+    swapped[k - 1], swapped[-1] = swapped[-1], swapped[k - 1]
+    yield "lines of two rows swapped", join(swapped)
+    yield "leading zero source", join(body[:-1] + [f"0{src} {sym} {dst}"])
+    yield "leading zero target", join(body[:-1] + [f"{src} {sym} 0{dst}"])
+    yield "CRLF", text.replace("\n", "\r\n")
+    yield "trailing comment", text + "# end\n"
+    yield "comment on a line", join(body[:-1] + [body[-1] + " # last"])
+    yield "tab", join(body[:-1] + [body[-1].replace(" ", "\t", 1)])
+    yield "shuffled lines", join(body[::-1])
+    yield "no final newline", text[:-1]
+    yield "blank line", join(body[:1] + [""] + body[1:])
+
+
+def assert_parses_like_the_line_by_line_reference(d):
+    for name, text in text_variants(d):
+        for complete in (False, True):
+            got = parse_outcome(parse_dfa, text, complete)
+            assert got == parse_outcome(parse_dfa_by_lines, text, complete), (name, complete, text)
+
+
+def test_column_reader_matches_the_line_by_line_reference_on_small_machines(suite3):
+    for i, d in enumerate(suite3):
+        if i % 40 == 0:
+            for alphabet in ("01", "ba", "\u0100\u0a41"):
+                assert_parses_like_the_line_by_line_reference(relabeled(d, alphabet))
+        else:
+            assert parse_dfa(serialize_dfa(d)) == d
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["0", "01", "ba", "\u0100\u0a41", "c\u00e9a"]).flatmap(lambda a: dfas(6, a)))
+def test_column_reader_matches_the_line_by_line_reference(d):
+    assert_parses_like_the_line_by_line_reference(d)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029", "\n\r", "\n\n"])
+def test_every_line_break_of_splitlines_reads_like_the_reference(brk):
+    text = serialize_dfa(fixtures.onezstar())
+    for variant in (text.replace("\n", brk), text.replace("\n", brk, 3), text.replace("\n", brk, 5),
+                    text.replace("\n", brk, 6), text.replace("\n", "!" + brk, 4),
+                    (text + "9 0 0\n").replace("\n", brk)):
+        for complete in (False, True):
+            assert parse_outcome(parse_dfa, variant, complete) == \
+                parse_outcome(parse_dfa_by_lines, variant, complete), (brk, variant)
+
+
+def random_machine(seed, n, alphabet):
+    """The reachable part of a random table on ``n`` states."""
+    rng = random.Random(seed)
+    delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+    d, _ = trim(alphabet, 0, frozenset(q for q in range(n) if rng.random() < 0.5), delta)
+    return d
+
+
+@pytest.mark.parametrize("chunk", [6, 17, 64, 1 << 10])
+def test_rows_split_across_chunks_read_the_same(monkeypatch, chunk):
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    for alphabet in ("01", "cab"):
+        assert_parses_like_the_line_by_line_reference(random_machine(chunk, 300, alphabet))
+
+
+def test_canonical_text_never_enters_the_per_line_loop(monkeypatch, suite2):
+    calls = []
+    read_lines = formats._read_lines
+
+    def counted(*args):
+        calls.append(args)
+        return read_lines(*args)
+
+    monkeypatch.setattr(formats, "_read_lines", counted)
+    big = random_machine(3, 2_000, "ba")
+    for d in (*suite2, big, relabeled(big, "\u0a41\u0100"), sigma_upto(0), sigma_upto(40, "012")):
+        assert parse_dfa(serialize_dfa(d)) == d
+    assert calls == []
+    # any other text is read line by line
+    parse_dfa(serialize_dfa(big).replace("\n", "\r\n"))
+    assert len(calls) == 1

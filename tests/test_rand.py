@@ -1,7 +1,9 @@
 import pytest
 
 from fdfa.core import reachable_states
-from fdfa.rand import Lcg, random_dfa
+from fdfa.rand import _below, random_dfa
+
+from reference import Lcg, random_dfa_by_lcg
 
 
 def test_lcg_sequence_is_fixed():
@@ -53,3 +55,36 @@ def test_random_dfa_varies_with_seed():
 def test_random_dfa_rejects_bad_sizes():
     with pytest.raises(ValueError):
         random_dfa(0, "01", 1)
+
+
+@pytest.mark.parametrize("alphabet", ["", "00", "0#"])
+def test_random_dfa_checks_its_alphabet_before_drawing(alphabet):
+    # with an empty alphabet no attempt ever reaches a second state
+    with pytest.raises(ValueError, match="alphabet"):
+        random_dfa(2, alphabet, 1)
+
+
+def test_batched_draws_match_the_lcg_object():
+    for n in (*range(1, 65), 3 ** 19, 2 ** 31 + 1, 2 ** 32):
+        for seed in (0, n, 7 * n + 1, (1 << 64) + n, 2 ** 63 - n):
+            g = Lcg(seed)
+            x, draws = _below(seed & (2 ** 64 - 1), n, 50)
+            assert draws == [g.below(n) for _ in range(50)], (n, seed)
+            assert x == g.state
+
+
+def test_random_dfa_draws_what_the_lcg_object_draws():
+    # two-symbol machines past 30 states take up to seconds of attempts each
+    for n in range(1, 65):
+        for alphabet in ("0", "01", "ba", "012", "\u0100\u0a41\u00e9"):
+            if len(alphabet) == 1 and n > 6 or len(alphabet) == 2 and n > 30:
+                continue
+            for seed in (n, 7 * n + 1, (1 << 64) + n):
+                assert random_dfa(n, alphabet, seed) == random_dfa_by_lcg(n, alphabet, seed), (n, alphabet, seed)
+    for seed in range(300):
+        n = seed % 12 + 1
+        assert random_dfa(n, "01", seed) == random_dfa_by_lcg(n, "01", seed), (n, seed)
+    # the seeds the tests and the command-line examples pin
+    for n, alphabet, seed in ((4, "01", 42), (3, "01", 7), (3, "01", 8), (4, "ab", 3), (4, "01", 11),
+                              (5, "01", 123), (24, "01", 7)):
+        assert random_dfa(n, alphabet, seed) == random_dfa_by_lcg(n, alphabet, seed), (n, alphabet, seed)

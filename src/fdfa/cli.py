@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from .classes import state_class_partition
@@ -20,9 +19,9 @@ from .fmin import f_minimize
 from .formats import (
     EPSILON_TOKEN,
     DfaFormatError,
-    TrimWarning,
+    _parse,
+    _trimmed,
     format_word,
-    parse_dfa,
     parse_word_list,
     serialize_dfa,
 )
@@ -37,19 +36,22 @@ class CliError(Exception):
     """Anything that should abort with exit code 2."""
 
 
-def _load(path: str, *, complete: bool = False) -> Dfa:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TrimWarning)
-        try:
-            d = parse_dfa(text, complete=complete)
-        except DfaFormatError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    for w in caught:
-        print(f"warning: {path}: {w.message}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _load(path: str, *, complete: bool = False) -> Dfa:
+    try:
+        d, dropped = _parse(_read(path), complete)
+    except DfaFormatError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    if dropped:
+        print(f"warning: {path}: {_trimmed(dropped)}", file=sys.stderr)
     return d
 
 
@@ -57,8 +59,11 @@ def _write_dfa(d: Dfa, path: str | None) -> None:
     text = serialize_dfa(d)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _ids(ids) -> str:
@@ -157,11 +162,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        text = Path(args.words).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {args.words}: {exc.strerror or exc}") from exc
-    words = parse_word_list(text)
+    words = parse_word_list(_read(args.words))
     left, right = construct_pair(words, args.alphabet)
     if args.minimize:
         left, right = minimize(left), minimize(right)
@@ -257,8 +258,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    # DfaFormatError, AlphabetMismatchError, FMergeError and UnicodeDecodeError
-    # are ValueErrors
+    # DfaFormatError, AlphabetMismatchError and FMergeError are ValueErrors
     except (CliError, ValueError, OSError) as exc:
         print(f"fdfa: error: {exc}", file=sys.stderr)
         return 2

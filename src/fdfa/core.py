@@ -34,20 +34,26 @@ def check_alphabet(alphabet: str) -> None:
 
 def reachable_states(delta: Iterable[Iterable[int]], start: int) -> set[int]:
     """States reachable from ``start`` in a raw transition table (rows of successor ids)."""
-    return _forward_closure(list(delta), (start,))
+    return set(_forward_closure(list(delta), (start,)))
 
 
-def _forward_closure(rows, sources: Iterable[int]) -> set[int]:
-    # one breadth-first pass from all sources: every row is read at most once
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
+def _forward_closure(rows, sources: Iterable[int]) -> list[int]:
+    """The states reachable from ``sources`` in a list of rows, in breadth-first order.
+
+    Every row is read at most once.
+    """
+    seen = bytearray(len(rows))
+    reached = []
+    for q in sources:
+        if not seen[q]:
+            seen[q] = 1
+            reached.append(q)
+    for q in reached:
         for t in rows[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+            if not seen[t]:
+                seen[t] = 1
+                reached.append(t)
+    return reached
 
 
 def states_reaching(delta, targets: Iterable[int]) -> set[int]:
@@ -57,15 +63,7 @@ def states_reaching(delta, targets: Iterable[int]) -> set[int]:
     for q, row in enumerate(rows):
         for t in row:
             preds[t].append(q)
-    seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+    return set(_forward_closure(preds, targets))
 
 
 def _peel(rows, states) -> list[int]:
@@ -194,7 +192,7 @@ class Dfa:
         for q in self.accepting:
             if not 0 <= q < n:
                 raise ValueError(f"accepting state {q} out of range")
-        missing = set(range(n)) - reachable_states(self.delta, self.start)
+        missing = set(range(n)).difference(_forward_closure(self.delta, (self.start,)))
         if missing:
             raise ValueError(f"states unreachable from start: {sorted(missing)}")
 
@@ -263,7 +261,7 @@ def trim(alphabet, start, accepting, delta) -> tuple[Dfa, dict[int, int]]:
 
 def _trim(alphabet, start, accepting, rows) -> tuple[Dfa, dict[int, int]]:
     # unchecked: the callers derive ``rows`` from a valid machine, or check the result
-    keep = sorted(reachable_states(rows, start))
+    keep = sorted(_forward_closure(rows, (start,)))
     remap = {old: new for new, old in enumerate(keep)}
     new_delta = tuple(tuple(remap[t] for t in rows[old]) for old in keep)
     new_accepting = frozenset(remap[q] for q in accepting if q in remap)

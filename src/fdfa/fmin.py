@@ -25,17 +25,10 @@ class FMergeError(ValueError):
 
 
 def _merge(d: Dfa, p: int, q: int) -> Dfa:
-    # assumes preconditions already checked
-    keep = [s for s in d.states if s != p]
-    remap = {old: new for new, old in enumerate(keep)}
-
-    def redirect(t: int) -> int:
-        return q if t == p else t
-
-    delta = [tuple(remap[redirect(t)] for t in d.delta[s]) for s in keep]
-    start = remap[redirect(d.start)]
-    accepting = frozenset(remap[s] for s in d.accepting if s != p)
-    merged, _ = _trim(d.alphabet, start, accepting, delta)
+    # assumes preconditions already checked; with every edge into p sent to q,
+    # trimming drops p and the states reachable only through it, keeping id order
+    rows = [[q if t == p else t for t in row] for row in d.delta]
+    merged, _ = _trim(d.alphabet, q if d.start == p else d.start, d.accepting, rows)
     return merged
 
 
@@ -190,7 +183,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
                 class_id=bisect_left(alive, members[class_of[p]][0]),
                 # p is in the finite part, so every state reaching it is acyclic;
                 # a closure over the predecessor sets collects those states
-                n_into=_count_words(rows, start, _forward_closure(preds, (p,)), {p}),
+                n_into=_count_words(rows, start, set(_forward_closure(preds, (p,))), {p}),
                 n_diff=_count_words(pair_rows, 0, states_reaching(pair_rows, differ), differ),
                 _replay=replay,
                 _step=len(trace),

@@ -25,7 +25,7 @@ import re
 import warnings
 from typing import NoReturn
 
-from .core import Dfa, Word, _lex_symbol_order, check_alphabet
+from .core import Dfa, Word, _forward_closure, _lex_symbol_order, check_alphabet
 
 EPSILON_TOKEN = "@"
 
@@ -89,6 +89,19 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     Either way the checks cost what the input holds, never what ``states``
     declares.
     """
+    d, dropped = _parse(text, complete)
+    if dropped:
+        warnings.warn(_trimmed(dropped), TrimWarning, stacklevel=2)
+    return d
+
+
+def _trimmed(dropped: int) -> str:
+    return f"trimmed {dropped} unreachable state{'' if dropped == 1 else 's'}"
+
+
+def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
+    """:func:`parse_dfa` without the warning: the machine, and how many
+    unreachable states were dropped from it."""
     lines = _numbered_lines(text)
     body = 0  # offset of the text after the last line read
 
@@ -146,7 +159,7 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
         rows = _read_columns(text, body, alphabet, n, start)
         if rows is not None:
             # the column checks and the search establish everything Dfa.__post_init__ checks
-            return Dfa._unchecked(alphabet, start, frozenset(accepting), tuple(rows))
+            return Dfa._unchecked(alphabet, start, frozenset(accepting), tuple(rows)), 0
     numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
     return _read_lines(numbered, alphabet, n, start, accepting, complete)
 
@@ -219,24 +232,13 @@ def _read_columns(text: str, pos: int, alphabet: str, n: int, start: int) -> lis
     if q != n:
         return None
     rows = list(zip(*columns))
-    return rows if len(_search(rows, start)) == n else None
+    return rows if len(_forward_closure(rows, (start,))) == n else None
 
 
-def _search(rows, start: int) -> list[int]:
-    """The states reachable from ``start`` in a list of rows, in breadth-first order."""
-    seen = bytearray(len(rows))
-    seen[start] = 1
-    reached = [start]
-    for q in reached:
-        for t in rows[q]:
-            if not seen[t]:
-                seen[t] = 1
-                reached.append(t)
-    return reached
-
-
-def _read_lines(numbered, alphabet: str, n: int, start: int, accepting: set[int], complete: bool) -> Dfa:
-    """The machine of the transition lines ``numbered`` holds, checked line by line.
+def _read_lines(numbered, alphabet: str, n: int, start: int, accepting: set[int],
+                complete: bool) -> tuple[Dfa, int]:
+    """The machine of the transition lines ``numbered`` holds, checked line by
+    line, and how many unreachable states were dropped from it.
 
     Each transition line is split once; the first failed check names its line.
     """
@@ -287,21 +289,19 @@ def _read_lines(numbered, alphabet: str, n: int, start: int, accepting: set[int]
     else:
         # the table is complete: read every row off it at once, k keys per row
         rows = list(zip(*[map(table.__getitem__, range(n * k))] * k))
-        reached = _search(rows, start)
+        reached = _forward_closure(rows, (start,))
     # the checks above and this search establish everything Dfa.__post_init__ checks
     if len(reached) == n:
         # every declared state is reachable, so the ids are already dense
         delta = tuple(map(rows.__getitem__, range(n)))
-        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta)
-    dropped = n - len(reached)
-    plural = "" if dropped == 1 else "s"
-    warnings.warn(f"trimmed {dropped} unreachable state{plural}", TrimWarning, stacklevel=3)
+        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta), 0
     # reindex densely, keeping id order among the survivors as :func:`trim` does
     keep = sorted(reached)
     new_id = {old: new for new, old in enumerate(keep)}
     delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
-    return Dfa._unchecked(alphabet, new_id[start],
-                          frozenset(new_id[q] for q in accepting if q in new_id), delta)
+    d = Dfa._unchecked(alphabet, new_id[start],
+                       frozenset(new_id[q] for q in accepting if q in new_id), delta)
+    return d, n - len(reached)
 
 
 def serialize_dfa(d: Dfa) -> str:

@@ -42,20 +42,23 @@ class Lasso:
 class Classification:
     """What L(dfa) is: EMPTY, FINITE or INFINITE.
 
-    The verdict costs one backward closure and one peel of the useful
-    states.  The lasso ``witness``, the listing ``text``, its word list
-    ``words`` and the count ``n_words`` are built from ``dfa`` on first read,
-    so a caller that needs only the verdict never pays for them.
+    The verdict costs one peel of the whole table.  The lasso ``witness``,
+    the listing ``text``, its word list ``words`` and the count ``n_words``
+    are built from ``dfa`` on first read, and so are the useful states they
+    share, so a caller that needs only the verdict never pays for them.
     """
 
     kind: str  # EMPTY, FINITE or INFINITE
     dfa: Dfa = field(compare=False, repr=False)
-    # the states that can still reach acceptance, from the verdict's closure
-    _useful: set[int] = field(compare=False, repr=False)
 
     @property
     def finite(self) -> bool:
         return self.kind != INFINITE
+
+    @cached_property
+    def _useful(self) -> set[int]:
+        # the states that can still reach acceptance
+        return useful_states(self.dfa)
 
     @cached_property
     def witness(self) -> Lasso | None:
@@ -113,18 +116,18 @@ def useful_states(d: Dfa) -> set[int]:
 def classify_language(d: Dfa) -> Classification:
     """Decide whether L(d) is empty, finite, or infinite.
 
-    A language is infinite exactly when some state that can still accept lies
-    on a cycle.  Every state of such a cycle can accept too, so the cycle lies
-    inside the useful states, and peeling them leaves a state exactly then.
+    Every state of a :class:`Dfa` is reachable, so L(d) is empty exactly when
+    no state accepts, and infinite exactly when an accepting state lies in the
+    infinite part, which peeling the whole table leaves over (see
+    :func:`fdfa.parts.compute_parts`).
     """
-    useful = useful_states(d)
-    if d.start not in useful:
+    if not d.accepting:
         kind = EMPTY
-    elif len(_peel(d.delta, useful)) < len(useful):
-        kind = INFINITE
-    else:
+    elif d.accepting.issubset(_peel(d.delta, d.states)):
         kind = FINITE
-    return Classification(kind, d, useful)
+    else:
+        kind = INFINITE
+    return Classification(kind, d)
 
 
 def enumerate_finite_language(d: Dfa) -> list[Word]:

@@ -4,9 +4,10 @@ Each one reaches the same answer as a runtime procedure by a different route:
 the parts by layered counting, or as the forward closure of the states that
 Tarjan's SCCs put on a cycle, instead of in-degree peeling; the verdict
 empty/finite/infinite by asking whether a useful state lies on such a cycle
-instead of peeling the useful states; Moore refinement by one signature per
-state and round instead of one pass over the table's columns; finiteness by
-the shape of the minimal machine instead of cycle analysis, the ~ classes by
+instead of whether an accepting state survives peeling the whole table;
+Moore refinement by one signature per state and round instead of one pass
+over the table's columns; finiteness by the shape of the minimal machine
+instead of cycle analysis, the ~ classes by
 cycle reachability in the graph of block pairs instead of merging blocks with
 equal successor vectors, the infinite-part isomorphism through long
 representative words instead of one Moore partition, and the ``dfa v1`` reader
@@ -21,7 +22,10 @@ for, lives here as well, and so does the per-pair witness check of ~
 tests compare the ~ engine.  ``iso_from_representatives`` checks its own
 precondition that both machines are minimized.  ``f_minimize_by_recomputation``
 recomputes the parts and ~ classes of the current machine before every merge
-instead of carrying those of the minimized input through the merges.
+instead of carrying those of the minimized input through the merges, and
+merges by ``merge_by_renumbering``, which deletes the merged state and
+renumbers the rest before trimming, instead of redirecting the edges into it
+and letting one trim drop it.
 ``random_dfa_by_lcg`` draws each random machine through the method calls of
 an ``Lcg`` object instead of one local-variable loop per batch of draws.
 """
@@ -46,8 +50,8 @@ from fdfa.core import (
     shortest_word_to,
     states_on_cycles,
     states_reaching,
+    trim,
 )
-from fdfa.fmin import _merge
 from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
 from fdfa.language import (
@@ -85,7 +89,7 @@ def compute_parts_by_counting(d: Dfa) -> PartsPartition:
 def compute_parts_by_cycles(d: Dfa) -> PartsPartition:
     """Split states by cycle reachability: the infinite part is the forward
     closure of the states that Tarjan's SCCs put on a cycle."""
-    infinite = _forward_closure(d.delta, states_on_cycles(d.delta))
+    infinite = set(_forward_closure(d.delta, states_on_cycles(d.delta)))
     finite = frozenset(set(d.states) - infinite)
     return PartsPartition(finite, frozenset(infinite))
 
@@ -424,6 +428,22 @@ class RecomputedMerge:
     after: Dfa
 
 
+def merge_by_renumbering(d: Dfa, p: int, q: int) -> Dfa:
+    """The f-merge of p into q: p deleted, the other ids renumbered densely,
+    every edge into p sent to q, and the states no longer reachable trimmed."""
+    keep = [s for s in d.states if s != p]
+    remap = {old: new for new, old in enumerate(keep)}
+
+    def redirect(t: int) -> int:
+        return q if t == p else t
+
+    delta = [tuple(remap[redirect(t)] for t in d.delta[s]) for s in keep]
+    start = remap[redirect(d.start)]
+    accepting = frozenset(remap[s] for s in d.accepting if s != p)
+    merged, _ = trim(d.alphabet, start, accepting, delta)
+    return merged
+
+
 def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
     finite = parts.finite
     infinite = parts.infinite
@@ -442,7 +462,8 @@ def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
 
 def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[RecomputedMerge, ...]]:
     """``f_minimize`` with its parts and classes recomputed on the current
-    machine before every merge, and each merge a new machine by ``_merge``."""
+    machine before every merge, and each merge a new machine by
+    :func:`merge_by_renumbering`."""
     if order not in ("canonical", "reversed"):
         raise ValueError(f"unknown order {order!r}")
     reverse = order == "reversed"
@@ -455,7 +476,7 @@ def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Df
         if picked is None:
             break
         p, q = picked
-        merged = _merge(m, p, q)
+        merged = merge_by_renumbering(m, p, q)
         trace.append(
             RecomputedMerge(
                 merged=p,

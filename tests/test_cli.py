@@ -269,8 +269,22 @@ def test_main_leaks_no_option_into_the_next_call(tmp_path, capsys):
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
-    assert main(["minimize", fix("zstar"), "-o", str(tmp_path / "missing" / "m.dfa")]) == 2
-    assert capsys.readouterr().err.startswith("fdfa: error: ")
+    out = tmp_path / "missing" / "m.dfa"
+    assert main(["minimize", fix("zstar"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"fdfa: error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["findiff", "BAD", fix("zstar")],
+    ["findiff", fix("zstar"), "BAD"],
+    ["construct", "--words", "BAD", "--alphabet", "01", "-o1", "a.dfa", "-o2", "b.dfa"],
+])
+def test_undecodable_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("BAD").write_bytes(b"\xff\xfe")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "fdfa: error: BAD: 'utf-8' codec can't decode byte 0xff"
+                                       " in position 0: invalid start byte\n")
 
 
 def test_findiff_builds_no_lasso(monkeypatch, capsys):

@@ -3,9 +3,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from fdfa.classes import state_class_partition
 from fdfa.core import Dfa
 from fdfa.fmin import (
     FMergeError,
+    _merge,
     f_merge,
     f_minimize,
     flip_finite_acceptance,
@@ -21,6 +23,7 @@ from conftest import acyclic_prefix_table, count_calls, dfas, sigma_upto, trie_o
 from reference import (
     dfas_finitely_different,
     f_minimize_by_recomputation,
+    merge_by_renumbering,
     states_finitely_different,
 )
 
@@ -196,6 +199,18 @@ def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     assert len(records[0].words_into_merged) == 2 ** 12
     assert records[0].class_diff_words == ("",)
     assert len(calls) == 2
+
+
+def test_merge_by_trimming_matches_the_renumbering_on_suite3(suite3):
+    merges = 0
+    for d in suite3:
+        classes = state_class_partition(d)
+        for p in compute_parts(d).finite:
+            for q in classes.members(classes.class_of[p]):
+                if q != p:
+                    assert _merge(d, p, q) == merge_by_renumbering(d, p, q), (d, p, q)
+                    merges += 1
+    assert merges > 1000
 
 
 def assert_minimizes_like_the_recomputation(d):

@@ -169,7 +169,8 @@ def test_reading_rows_off_a_complete_table_stays_within_its_memory_bound():
     # per reached state from k lookups in the table
     assert parse_peak < 1.1 * 10.77 * 2 ** 20
     _, moore_peak = traced_peak(lambda: moore_blocks(parsed.delta, parsed.accepting))
-    assert moore_peak < parse_peak
+    # 1.1 times the 4.34 MiB peak (CPython 3.11) of the column-wise Moore rounds
+    assert moore_peak < 1.1 * 4.34 * 2 ** 20
 
 
 def test_unreachable_states_trimmed_with_warning():
@@ -177,6 +178,14 @@ def test_unreachable_states_trimmed_with_warning():
     with pytest.warns(TrimWarning, match="trimmed 1 unreachable"):
         d = parse_dfa(text)
     assert d.n_states == 1
+
+
+def test_trim_warning_is_attributed_to_the_caller():
+    text = "dfa v1\nalphabet 01\nstates 2\nstart 0\naccept 0\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n"
+    for complete in (False, True):
+        with pytest.warns(TrimWarning) as record:
+            parse_dfa(text, complete=complete)
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_word_forms():

@@ -1,4 +1,5 @@
 import contextlib
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from fdfa.core import (
     trim,
 )
 from fdfa.fmin import flip_finite_acceptance
-from fdfa.formats import serialize_dfa
+from fdfa.formats import parse_dfa, serialize_dfa
 from fdfa.language import (
     EMPTY,
     FINITE,
@@ -185,6 +186,46 @@ def test_a_verdict_finds_no_strongly_connected_components(monkeypatch, capsys):
     # the lasso names the smallest useful state on a cycle, so it still needs them
     assert diff.witness is not None
     assert len(calls) >= 1
+
+
+FIXTURE_PAIRS = [("zstar", "onezstar"), ("sigplus", "all"), ("odd", "even"),
+                 ("empty", "empty"), ("zstar", "all")]
+
+
+def random_pair(tmp_path):
+    """The reachable part of a random 2-symbol table on 20,000 states (15,981
+    states), written beside a copy with one infinite-part state flipped."""
+    rng = random.Random(16_000)
+    n = 20_000
+    delta = tuple(tuple(rng.randrange(n) for _ in "01") for _ in range(n))
+    d, _ = trim("01", 0, frozenset(q for q in range(n) if rng.random() < 0.5), delta)
+    flipped = Dfa(d.alphabet, d.start, d.accepting ^ {max(compute_parts(d).infinite)}, d.delta)
+    paths = tmp_path / "big.dfa", tmp_path / "flipped.dfa"
+    for path, m in zip(paths, (d, flipped)):
+        path.write_text(serialize_dfa(m))
+    return d, flipped, paths
+
+
+def test_a_verdict_builds_no_backward_closure(monkeypatch, capsys, tmp_path):
+    big, flipped, (big_path, flipped_path) = random_pair(tmp_path)
+    assert big.n_states == 15_981
+    calls = count_calls(monkeypatch, states_reaching)
+    for pair in FIXTURE_PAIRS:
+        paths = [str(FIXTURES / f"{name}.dfa") for name in pair]
+        a, b = (parse_dfa(Path(path).read_text()) for path in paths)
+        kind = symmetric_difference(a, b).kind
+        assert languages_equal(a, b) == (kind == EMPTY)
+        assert main(["findiff", *paths]) == (kind == INFINITE)
+    assert symmetric_difference(big, flipped).kind == INFINITE
+    assert not languages_equal(big, flipped)
+    assert main(["findiff", str(big_path), str(big_path)]) == 0
+    assert main(["findiff", str(big_path), str(flipped_path)]) == 1
+    capsys.readouterr()
+    assert calls == []
+    # listing a finite difference needs the useful states, once
+    assert main(["diff", str(FIXTURES / "sigplus.dfa"), str(FIXTURES / "all.dfa")]) == 0
+    assert capsys.readouterr().out == "finite 1\n@\n"
+    assert len(calls) == 1
 
 
 def test_symmetric_difference_infinite_with_pumpable_witness():

@@ -162,7 +162,10 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    words = parse_word_list(_read(args.words))
+    try:
+        words = parse_word_list(_read(args.words))
+    except DfaFormatError as exc:
+        raise CliError(f"{args.words}: {exc}") from exc
     left, right = construct_pair(words, args.alphabet)
     if args.minimize:
         left, right = minimize(left), minimize(right)

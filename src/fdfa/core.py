@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -261,7 +261,17 @@ def trim(alphabet, start, accepting, delta) -> tuple[Dfa, dict[int, int]]:
 
 def _trim(alphabet, start, accepting, rows) -> tuple[Dfa, dict[int, int]]:
     # unchecked: the callers derive ``rows`` from a valid machine, or check the result
-    keep = sorted(_forward_closure(rows, (start,)))
+    return _renumber(alphabet, start, accepting, rows, _forward_closure(rows, (start,)))
+
+
+def _renumber(alphabet, start, accepting, rows, reached) -> tuple[Dfa, dict[int, int]]:
+    """The machine on the states ``reached`` from ``start``, ids made dense in
+    their old order, and the old-id -> new-id map.
+
+    ``rows`` maps each reached state's id to its row; ``reached`` must be
+    closed under the rows, and the result is not checked.
+    """
+    keep = sorted(reached)
     remap = {old: new for new, old in enumerate(keep)}
     new_delta = tuple(tuple(remap[t] for t in rows[old]) for old in keep)
     new_accepting = frozenset(remap[q] for q in accepting if q in remap)
@@ -349,58 +359,44 @@ def _lex_symbol_order(d: Dfa) -> tuple[tuple[int, str], ...]:
 
 def shortest_word_to(d: Dfa, source: int, targets: Iterable[int]) -> Word | None:
     """Shortlex-least word taking ``source`` into ``targets``, or None if unreachable."""
-    goal = set(targets)
-    if source in goal:
-        return ""
-    order = _lex_symbol_order(d)
-    delta = d.delta
-    parent: dict[int, tuple[int, str]] = {source: (-1, "")}
-    queue = deque([source])
-    while queue:
-        q = queue.popleft()
-        for ci, sym in order:
-            t = delta[q][ci]
-            if t in parent:
-                continue
-            parent[t] = (q, sym)
-            if t in goal:
-                out = []
-                cur = t
-                while cur != source:
-                    prev, s = parent[cur]
-                    out.append(s)
-                    cur = prev
-                return "".join(reversed(out))
-            queue.append(t)
-    return None
+    return _shortlex_search(d, [(source, "")], set(targets))
 
 
 def shortest_cycle_word(d: Dfa, q: int) -> Word | None:
     """Shortlex-least non-empty word returning ``q`` to itself, or None if q is acyclic."""
+    row = d.delta[q]
+    return _shortlex_search(d, [(row[ci], sym) for ci, sym in _lex_symbol_order(d)], {q})
+
+
+def _shortlex_search(d: Dfa, first, goal: set[int]) -> Word | None:
+    """Shortlex-least word u·v with (s, u) in ``first`` and ``v`` taking s into
+    ``goal``, or None.
+
+    ``first`` is the search's first level: (state, word) pairs whose words
+    have one length and come in character order.  Each state is entered once,
+    by the first word that reaches it, so the search costs one pass over the
+    rows it reaches.
+    """
     order = _lex_symbol_order(d)
     delta = d.delta
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque()
-    for ci, sym in order:
-        t = delta[q][ci]
-        if t == q:
-            return sym
-        if t not in parent:
-            parent[t] = (-1, sym)
-            queue.append(t)
-    while queue:
-        s = queue.popleft()
+    parent: dict[int, tuple[int, str]] = {}  # state -> (previous state or -1, symbol or first word)
+    for s, word in first:
+        if s in goal:
+            return word
+        parent.setdefault(s, (-1, word))
+    queue = list(parent)
+    for s in queue:
+        row = delta[s]
         for ci, sym in order:
-            t = delta[s][ci]
-            if t == q:
-                out = [sym]
-                cur = s
-                while cur != -1:
-                    prev, first = parent[cur]
-                    out.append(first)
-                    cur = prev
+            t = row[ci]
+            if t in parent:
+                continue
+            parent[t] = (s, sym)
+            if t in goal:
+                out = []
+                while t != -1:
+                    t, sym = parent[t]
+                    out.append(sym)
                 return "".join(reversed(out))
-            if t not in parent:
-                parent[t] = (s, sym)
-                queue.append(t)
+            queue.append(t)
     return None

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import NoReturn
 
-from .core import Dfa, Word, _forward_closure, _lex_symbol_order, check_alphabet
+from .core import Dfa, Word, _forward_closure, _lex_symbol_order, _renumber, check_alphabet
 
 EPSILON_TOKEN = "@"
 
 
 class DfaFormatError(ValueError):
-    """A ``dfa v1`` document failed to parse; carries the 1-based line number."""
+    """A ``dfa v1`` document or word list failed to parse; carries the 1-based line number."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
@@ -56,26 +55,6 @@ def _parse_int(token: str, what: str, line_no: int) -> int:
         return int(token, 10)
     except ValueError:
         raise DfaFormatError(f"{what} is not an integer: {token!r}", line_no) from None
-
-
-def _reject_transition(line: str, line_no: int, n: int, alphabet: str) -> NoReturn:
-    """Raise for a transition line that failed, naming the first check it breaks.
-
-    The checks run in the order the format defines: field count, source
-    integer, source range, symbol, target integer, target range, duplicate.
-    """
-    fields = line.split()
-    if len(fields) != 3:
-        raise DfaFormatError(f"expected '<from> <symbol> <to>', got {line.strip()!r}", line_no)
-    src = _parse_int(fields[0], "source state", line_no)
-    if not 0 <= src < n:
-        raise DfaFormatError(f"source state {src} out of range 0..{n - 1}", line_no)
-    if fields[1] not in alphabet or len(fields[1]) != 1:
-        raise DfaFormatError(f"symbol {fields[1]!r} not in alphabet {alphabet!r}", line_no)
-    dst = _parse_int(fields[2], "target state", line_no)
-    if not 0 <= dst < n:
-        raise DfaFormatError(f"target state {dst} out of range 0..{n - 1}", line_no)
-    raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
 
 
 def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
@@ -155,13 +134,19 @@ def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
                 raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
             accepting.add(q)
 
-    if not complete:
-        rows = _read_columns(text, body, alphabet, n, start)
-        if rows is not None:
-            # the column checks and the search establish everything Dfa.__post_init__ checks
-            return Dfa._unchecked(alphabet, start, frozenset(accepting), tuple(rows)), 0
-    numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
-    return _read_lines(numbered, alphabet, n, start, accepting, complete)
+    rows = _read_columns(text, body, alphabet, n)
+    if rows is None:
+        numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
+        rows, reached, n = _read_lines(numbered, alphabet, n, start, complete)
+    else:
+        reached = _forward_closure(rows, (start,))
+    # the checks above and the search establish everything Dfa.__post_init__ checks
+    if len(reached) == n:
+        # every state is reachable, so the ids are already dense
+        delta = tuple(map(rows.__getitem__, range(n)))
+        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta), 0
+    d, _ = _renumber(alphabet, start, accepting, rows, reached)
+    return d, n - len(reached)
 
 
 # the line breaks of str.splitlines
@@ -184,16 +169,17 @@ _CHUNK = 1 << 15  # characters of transition text checked and split at once
 _CANONICAL_LINES = re.compile(r"(?:[0-9]+ [^\s#] [0-9]+\n)*")
 
 
-def _read_columns(text: str, pos: int, alphabet: str, n: int, start: int) -> list[tuple[int, ...]] | None:
-    """Rows of a transition section in canonical layout at ``text[pos:]``, or None.
+def _read_columns(text: str, pos: int, alphabet: str, n: int) -> list[tuple[int, ...]] | None:
+    """The ``n`` rows of a transition section in canonical layout at ``text[pos:]``, or None.
 
     The canonical layout is one ``<src> <sym> <dst>`` line per transition,
-    ending in ``\\n``, sorted by (source, symbol in character order), with every
-    state reachable from ``start``.  The text is read in chunks of whole rows
-    that end on a line break; each chunk is checked by one regex, split once,
-    and compared column by column with the ids and symbols that layout puts
-    there.  Any other text, and a table this check cannot accept whole, gives
-    None; until then it holds what the text read holds, not what ``n`` declares.
+    ending in ``\\n``, sorted by (source, symbol in character order).  The text
+    is read in chunks of whole rows that end on a line break; each chunk is
+    checked by one regex, split once, and compared column by column with the
+    ids and symbols that layout puts there.  Any other text, and a table this
+    check cannot accept whole, gives None; until then it holds what the text
+    read holds, not what ``n`` declares.  The rows may leave states
+    unreachable; the caller searches for them.
     """
     k = len(alphabet)
     order = sorted(range(k), key=alphabet.__getitem__)
@@ -229,79 +215,69 @@ def _read_columns(text: str, pos: int, alphabet: str, n: int, start: int) -> lis
             columns[ci] += targets[j::k]
         q += count
         pos = stop
-    if q != n:
-        return None
-    rows = list(zip(*columns))
-    return rows if len(_forward_closure(rows, (start,))) == n else None
+    return list(zip(*columns)) if q == n else None
 
 
-def _read_lines(numbered, alphabet: str, n: int, start: int, accepting: set[int],
-                complete: bool) -> tuple[Dfa, int]:
-    """The machine of the transition lines ``numbered`` holds, checked line by
-    line, and how many unreachable states were dropped from it.
+def _read_lines(numbered, alphabet: str, n: int, start: int, complete: bool):
+    """The rows of the transition lines ``numbered`` holds, the states
+    reachable from ``start`` and the state count.
 
-    Each transition line is split once; the first failed check names its line.
+    Each transition line is checked once, in the order the format defines:
+    field count, source integer, source range, symbol, target integer,
+    target range, duplicate; the first failed check names its line.  Under
+    ``complete`` missing transitions go to a fresh rejecting sink, which the
+    state count includes.
     """
     k = len(alphabet)
     index = {sym: ci for ci, sym in enumerate(alphabet)}
     table: dict[int, int] = {}  # src * k + ci -> dst
     for line_no, line in numbered:
-        if "#" in line:
-            line = line.split("#", 1)[0]
+        line = line.split("#", 1)[0]
         fields = line.split()
         if not fields:
             continue
-        try:
-            s, sym, t = fields
-            src = int(s, 10)
-            key = src * k + index[sym]
-            dst = int(t, 10)
-        except (ValueError, KeyError):
-            src = -1  # _reject_transition says which check failed
-        if 0 <= src < n and 0 <= dst < n and key not in table:
-            table[key] = dst
-        else:
-            _reject_transition(line, line_no, n, alphabet)
+        if len(fields) != 3:
+            raise DfaFormatError(f"expected '<from> <symbol> <to>', got {line.strip()!r}", line_no)
+        src = _parse_int(fields[0], "source state", line_no)
+        if not 0 <= src < n:
+            raise DfaFormatError(f"source state {src} out of range 0..{n - 1}", line_no)
+        ci = index.get(fields[1])
+        if ci is None:
+            raise DfaFormatError(f"symbol {fields[1]!r} not in alphabet {alphabet!r}", line_no)
+        dst = _parse_int(fields[2], "target state", line_no)
+        if not 0 <= dst < n:
+            raise DfaFormatError(f"target state {dst} out of range 0..{n - 1}", line_no)
+        key = src * k + ci
+        if key in table:
+            raise DfaFormatError(f"duplicate transition for state {src} on {fields[1]!r}", line_no)
+        table[key] = dst
 
     missing = n * k - len(table)
-    if missing:
-        if not complete:
-            q, ci = next((q, ci) for q in range(n) for ci in range(k) if q * k + ci not in table)
-            raise DfaFormatError(
-                f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
-                f" ({missing} missing in total)"
-            )
-        # rows exist only for states reachable from the start, so a huge
-        # declared state count with few lines costs what the lines cost
-        sink = n
-        n += 1
-        for ci in range(k):
-            table[sink * k + ci] = sink
-        symbols = range(k)
-        rows = {start: tuple([table.get(start * k + ci, sink) for ci in symbols])}
-        reached = [start]
-        for q in reached:
-            for t in rows[q]:
-                if t not in rows:
-                    base = t * k
-                    rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
-                    reached.append(t)
-    else:
+    if not missing:
         # the table is complete: read every row off it at once, k keys per row
         rows = list(zip(*[map(table.__getitem__, range(n * k))] * k))
-        reached = _forward_closure(rows, (start,))
-    # the checks above and this search establish everything Dfa.__post_init__ checks
-    if len(reached) == n:
-        # every declared state is reachable, so the ids are already dense
-        delta = tuple(map(rows.__getitem__, range(n)))
-        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta), 0
-    # reindex densely, keeping id order among the survivors as :func:`trim` does
-    keep = sorted(reached)
-    new_id = {old: new for new, old in enumerate(keep)}
-    delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
-    d = Dfa._unchecked(alphabet, new_id[start],
-                       frozenset(new_id[q] for q in accepting if q in new_id), delta)
-    return d, n - len(reached)
+        return rows, _forward_closure(rows, (start,)), n
+    if not complete:
+        q, ci = next((q, ci) for q in range(n) for ci in range(k) if q * k + ci not in table)
+        raise DfaFormatError(
+            f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
+            f" ({missing} missing in total)"
+        )
+    # rows exist only for states reachable from the start, so a huge
+    # declared state count with few lines costs what the lines cost
+    sink = n
+    for ci in range(k):
+        table[sink * k + ci] = sink
+    symbols = range(k)
+    rows = {start: tuple([table.get(start * k + ci, sink) for ci in symbols])}
+    reached = [start]
+    for q in reached:
+        for t in rows[q]:
+            if t not in rows:
+                base = t * k
+                rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
+                reached.append(t)
+    return rows, reached, n + 1
 
 
 def serialize_dfa(d: Dfa) -> str:
@@ -338,12 +314,18 @@ def parse_word(token: str) -> Word:
 
 
 def parse_word_list(text: str) -> list[Word]:
-    """One word per line, ``@`` for the empty word, ``#`` comments and blanks ignored."""
+    """One word per line, ``@`` for the empty word, ``#`` comments and blanks ignored.
+
+    A bad line raises :class:`DfaFormatError`, which names the line.
+    """
     words = []
-    for _, content in _logical_lines(text):
+    for line_no, content in _logical_lines(text):
         if len(content.split()) != 1:
-            raise ValueError(f"expected one word per line, got {content!r}")
-        words.append(parse_word(content))
+            raise DfaFormatError(f"expected one word per line, got {content!r}", line_no)
+        try:
+            words.append(parse_word(content))
+        except ValueError as exc:
+            raise DfaFormatError(str(exc), line_no) from None
     return words
 
 

@@ -287,6 +287,17 @@ def test_undecodable_input_names_its_file(tmp_path, monkeypatch, capsys, argv):
                                        " in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("a b\n", "line 1: expected one word per line, got 'a b'"),
+    ("# words\n0\n@0\n", "line 3: '@' may only appear alone: '@0'"),
+])
+def test_word_list_errors_name_the_file_and_the_line(tmp_path, monkeypatch, capsys, text, error):
+    monkeypatch.chdir(tmp_path)
+    Path("W").write_text(text)
+    assert main(["construct", "--words", "W", "--alphabet", "01", "-o1", "a.dfa", "-o2", "b.dfa"]) == 2
+    assert capsys.readouterr() == ("", f"fdfa: error: W: {error}\n")
+
+
 def test_findiff_builds_no_lasso(monkeypatch, capsys):
     import fdfa.language
 

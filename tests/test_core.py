@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -137,6 +139,23 @@ def test_shortest_cycle_word():
     # no cycle through the transient state of the {'0'} machine
     zero = fixtures.finite_language_dfa(["0"])
     assert shortest_cycle_word(zero, 0) is None
+
+
+def shortlex_words(alphabet, max_len):
+    """Every word of at most ``max_len`` symbols, in shortlex order."""
+    for n in range(max_len + 1):
+        yield from map("".join, product(sorted(alphabet), repeat=n))
+
+
+def test_both_searches_find_the_shortlex_least_word_by_enumeration(suite2):
+    for d in (*suite2, *(Dfa("ba", d.start, d.accepting, d.delta) for d in suite2)):
+        n = d.n_states
+        for q in d.states:
+            for t in d.states:
+                expected = next((w for w in shortlex_words(d.alphabet, n) if d.run(w, q) == t), None)
+                assert shortest_word_to(d, q, {t}) == expected, (d, q, t)
+            expected = next((w for w in shortlex_words(d.alphabet, n) if w and d.run(w, q) == q), None)
+            assert shortest_cycle_word(d, q) == expected, (d, q)
 
 
 def test_symbol_index():

@@ -165,8 +165,8 @@ def test_reading_rows_off_a_complete_table_stays_within_its_memory_bound():
     text = serialize_dfa(d)
     parsed, parse_peak = traced_peak(lambda: parse_dfa(text))
     assert parsed == d
-    # 1.1 times the 10.77 MiB peak (CPython 3.11) of building one row tuple
-    # per reached state from k lookups in the table
+    # canonical text is read by columns, which peaks at 4.93 MiB (CPython 3.11);
+    # the bound is 1.1 times the 10.77 MiB peak of the line reader that read it before
     assert parse_peak < 1.1 * 10.77 * 2 ** 20
     _, moore_peak = traced_peak(lambda: moore_blocks(parsed.delta, parsed.accepting))
     # 1.1 times the 4.34 MiB peak (CPython 3.11) of the column-wise Moore rounds
@@ -386,6 +386,10 @@ def test_canonical_text_never_enters_the_per_line_loop(monkeypatch, suite2):
     big = random_machine(3, 2_000, "ba")
     for d in (*suite2, big, relabeled(big, "\u0a41\u0100"), sigma_upto(0), sigma_upto(40, "012")):
         assert parse_dfa(serialize_dfa(d)) == d
+    # nor does canonical text with a state nothing reaches, or read with complete=True
+    for text, complete in ((dict(text_variants(big))["extra unreachable state"], False),
+                           (serialize_dfa(big), True)):
+        assert parse_outcome(parse_dfa, text, complete) == parse_outcome(parse_dfa_by_lines, text, complete)
     assert calls == []
     # any other text is read line by line
     parse_dfa(serialize_dfa(big).replace("\n", "\r\n"))

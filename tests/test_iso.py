@@ -138,6 +138,16 @@ def test_finite_part_iso_requires_f_minimal_inputs():
         finite_part_iso(fixtures.sigplus(), fixtures.all_words())
 
 
+def test_finite_part_iso_checks_left_then_right_then_the_alphabet():
+    other = Dfa("ab", 0, {0}, ((0, 0),))
+    with pytest.raises(ValueError, match="left automaton is not f-minimal"):
+        finite_part_iso(fixtures.sigplus(), other)
+    with pytest.raises(ValueError, match="right automaton is not f-minimal"):
+        finite_part_iso(other, fixtures.sigplus())
+    with pytest.raises(AlphabetMismatchError):
+        finite_part_iso(fixtures.all_words(), other)
+
+
 def test_finite_part_iso_requires_finitely_different_inputs():
     with pytest.raises(ValueError, match="not finitely different"):
         finite_part_iso(fixtures.onezstar(), fixtures.zstar())

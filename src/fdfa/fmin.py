@@ -155,7 +155,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     m0 = minimize(d)
     n = m0.n_states
     parts = compute_parts(m0)
-    finite, infinite = set(parts.finite), set(parts.infinite)
+    finite = set(parts.finite)
     # m0 is minimized, so every state is its own Moore block
     classes = _partition_of(_classes_of_blocks(m0.delta, StatePartition(tuple(range(n)), n)))
     class_of = classes.class_of
@@ -171,7 +171,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     trace: list[MergeRecord] = []
     replay = _Replay(m0, trace)
     while True:
-        picked = _pick_merge(finite, infinite, class_of, members, reverse)
+        picked = _pick_merge(finite, parts.infinite, class_of, members, reverse)
         if picked is None:
             break
         p, q = picked
@@ -201,7 +201,6 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
             x = dropped.pop()
             del alive[bisect_left(alive, x)]
             finite.discard(x)
-            infinite.discard(x)
             members[class_of[x]].remove(x)
             for t in set(rows[x]):
                 preds[t].discard(x)

@@ -43,13 +43,6 @@ class TrimWarning(UserWarning):
     """Unreachable states were dropped while loading an automaton."""
 
 
-def _logical_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield line_no, content
-
-
 def _parse_int(token: str, what: str, line_no: int) -> int:
     try:
         return int(token, 10)
@@ -81,15 +74,13 @@ def _trimmed(dropped: int) -> str:
 def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
     """:func:`parse_dfa` without the warning: the machine, and how many
     unreachable states were dropped from it."""
-    lines = _numbered_lines(text)
+    lines = _logical_lines(text)
     body = 0  # offset of the text after the last line read
 
     def next_line(expect: str):
         nonlocal body
-        for line_no, raw, body in lines:
-            content = raw.split("#", 1)[0].strip()
-            if content:
-                return line_no, content
+        for line_no, content, body in lines:
+            return line_no, content
         raise DfaFormatError(f"unexpected end of input, expected {expect}")
 
     line_no, magic = next_line("'dfa v1' header")
@@ -154,15 +145,20 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
 
 
-def _numbered_lines(text: str):
-    """(line number, line, offset after its break) for each line of ``text.splitlines()``, lazily."""
+def _logical_lines(text: str):
+    """(line number, content, offset after its break) for each line of
+    ``text.splitlines()`` that holds something once its ``#`` comment is cut
+    and its blanks stripped, lazily: a reader that stops early never splits
+    the rest of the text."""
     pos = 0
     line_no = 0
     while pos < len(text):
         m = _LINE.match(text, pos)
         pos = m.end()
         line_no += 1
-        yield line_no, m.group(1), pos
+        content = m.group(1).split("#", 1)[0].strip()
+        if content:
+            yield line_no, content, pos
 
 
 _CHUNK = 1 << 15  # characters of transition text checked and split at once
@@ -219,14 +215,16 @@ def _read_columns(text: str, pos: int, alphabet: str, n: int) -> list[tuple[int,
 
 
 def _read_lines(numbered, alphabet: str, n: int, start: int, complete: bool):
-    """The rows of the transition lines ``numbered`` holds, the states
-    reachable from ``start`` and the state count.
+    """The rows of the states reachable from ``start``, by id, those states,
+    and the state count, from the transition lines ``numbered`` holds.
 
     Each transition line is checked once, in the order the format defines:
     field count, source integer, source range, symbol, target integer,
-    target range, duplicate; the first failed check names its line.  Under
-    ``complete`` missing transitions go to a fresh rejecting sink, which the
-    state count includes.
+    target range, duplicate; the first failed check names its line.  A
+    missing transition is an error unless ``complete``, which sends it to a
+    fresh rejecting sink, counted in the state count.  Rows are built only
+    for reachable states, so a huge declared state count with few lines
+    costs what the lines cost.
     """
     k = len(alphabet)
     index = {sym: ci for ci, sym in enumerate(alphabet)}
@@ -253,18 +251,12 @@ def _read_lines(numbered, alphabet: str, n: int, start: int, complete: bool):
         table[key] = dst
 
     missing = n * k - len(table)
-    if not missing:
-        # the table is complete: read every row off it at once, k keys per row
-        rows = list(zip(*[map(table.__getitem__, range(n * k))] * k))
-        return rows, _forward_closure(rows, (start,)), n
-    if not complete:
+    if missing and not complete:
         q, ci = next((q, ci) for q in range(n) for ci in range(k) if q * k + ci not in table)
         raise DfaFormatError(
             f"incomplete transition table: state {q} has no transition on {alphabet[ci]!r}"
             f" ({missing} missing in total)"
         )
-    # rows exist only for states reachable from the start, so a huge
-    # declared state count with few lines costs what the lines cost
     sink = n
     for ci in range(k):
         table[sink * k + ci] = sink
@@ -277,7 +269,7 @@ def _read_lines(numbered, alphabet: str, n: int, start: int, complete: bool):
                 base = t * k
                 rows[t] = tuple([table.get(base + ci, sink) for ci in symbols])
                 reached.append(t)
-    return rows, reached, n + 1
+    return rows, reached, n + (missing > 0)
 
 
 def serialize_dfa(d: Dfa) -> str:
@@ -319,7 +311,7 @@ def parse_word_list(text: str) -> list[Word]:
     A bad line raises :class:`DfaFormatError`, which names the line.
     """
     words = []
-    for line_no, content in _logical_lines(text):
+    for line_no, content, _ in _logical_lines(text):
         if len(content.split()) != 1:
             raise DfaFormatError(f"expected one word per line, got {content!r}", line_no)
         try:

@@ -241,25 +241,17 @@ def _count_words(delta, start: int, useful, targets) -> int:
     in a raw transition table: for a machine's own table and start, as many as
     :func:`_list_text` lists for the same ``useful`` and ``targets``.
 
-    Counts paths instead of listing them: a dynamic program over the acyclic
-    ``useful`` subgraph in reverse topological order, O(k·|useful|) steps and
-    an exact int however many words there are.
+    Counts paths instead of listing them, so the count is an exact int
+    however many words there are.  ``useful`` is a set that must be acyclic,
+    as the states reaching a finite-part state, and the useful states of a
+    finite language, are; :func:`_peel` orders it so that each state comes
+    before its successors, and one pass in the reverse order adds up each
+    state's count from its successors' counts, in O(k·|useful|) steps.
     """
     count: dict[int, int] = {}
-    stack = [start]
-    while stack:
-        q = stack[-1]
-        if q in count:
-            stack.pop()
-            continue
-        succ = [t for t in delta[q] if t in useful]
-        pending = [t for t in succ if t not in count]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        count[q] = (q in targets) + sum(count[t] for t in succ)
-    return count[start]
+    for q in reversed(_peel(delta, useful)):
+        count[q] = (q in targets) + sum([count[t] for t in delta[q] if t in useful])
+    return count.get(start, 0)
 
 
 def symmetric_difference(a: Dfa, b: Dfa) -> Classification:

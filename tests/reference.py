@@ -11,9 +11,12 @@ instead of cycle analysis, the ~ classes by
 cycle reachability in the graph of block pairs instead of merging blocks with
 equal successor vectors, the infinite-part isomorphism through long
 representative words instead of one Moore partition, and the ``dfa v1`` reader
-as a per-token parse of each logical line keyed by (state, symbol) pairs
-instead of reading canonical text by columns and other text with one
-tokenization per line keyed by ints, and the finite word list
+as a per-token parse of each logical line of ``str.splitlines`` keyed by
+(state, symbol) pairs instead of reading canonical text by columns, the
+header lazily, and other text with one tokenization per line keyed by ints,
+the word count by a depth-first search from the start
+(``count_words_by_search``) instead of one pass in reverse peeling order,
+and the finite word list
 as one (state, word) pair per prefix instead of one byte block of fixed-width
 records per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
 for, lives here as well, and so does the per-pair witness check of ~
@@ -52,14 +55,13 @@ from fdfa.core import (
     states_reaching,
     trim,
 )
-from fdfa.formats import DfaFormatError, TrimWarning, _logical_lines, _parse_int
+from fdfa.formats import DfaFormatError, TrimWarning, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
 from fdfa.language import (
     EMPTY,
     FINITE,
     INFINITE,
     Classification,
-    _count_words,
     symmetric_difference,
     useful_states,
 )
@@ -306,6 +308,15 @@ def iso_from_representatives(a: Dfa, b: Dfa) -> tuple[StateBijection, Representa
     return bij, RepresentativeAssignment(threshold, tuple(reps))
 
 
+def logical_lines_by_splitlines(text: str):
+    """(line number, content) for each line of ``text.splitlines()`` that holds
+    something once its ``#`` comment is cut and its blanks stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield line_no, content
+
+
 def parse_dfa_by_lines(text: str, *, complete: bool = False) -> Dfa:
     """Parse the ``dfa v1`` format into a validated automaton.
 
@@ -313,7 +324,7 @@ def parse_dfa_by_lines(text: str, *, complete: bool = False) -> Dfa:
     densely.  A missing transition is an error unless ``complete=True``, which
     routes every missing transition to a fresh rejecting sink before validation.
     """
-    lines = _logical_lines(text)
+    lines = logical_lines_by_splitlines(text)
 
     def next_line(expect: str):
         try:
@@ -428,6 +439,27 @@ class RecomputedMerge:
     after: Dfa
 
 
+def count_words_by_search(delta, start: int, useful, targets) -> int:
+    """How many words lead from ``start`` through the acyclic ``useful`` into
+    ``targets``: a depth-first search from ``start`` that counts each state
+    once all its useful successors are counted."""
+    count: dict[int, int] = {}
+    stack = [start]
+    while stack:
+        q = stack[-1]
+        if q in count:
+            stack.pop()
+            continue
+        succ = [t for t in delta[q] if t in useful]
+        pending = [t for t in succ if t not in count]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        count[q] = (q in targets) + sum(count[t] for t in succ)
+    return count[start]
+
+
 def merge_by_renumbering(d: Dfa, p: int, q: int) -> Dfa:
     """The f-merge of p into q: p deleted, the other ids renumbered densely,
     every edge into p sent to q, and the states no longer reachable trimmed."""
@@ -477,14 +509,15 @@ def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Df
             break
         p, q = picked
         merged = merge_by_renumbering(m, p, q)
+        diff = product_xor(induce(m, p), induce(m, q)).dfa
         trace.append(
             RecomputedMerge(
                 merged=p,
                 target=q,
                 class_id=classes.class_of[p],
                 # p is in the finite part, so every state reaching it is acyclic
-                n_into=_count_words(m.delta, m.start, states_reaching(m.delta, {p}), {p}),
-                n_diff=symmetric_difference(induce(m, p), induce(m, q)).n_words,
+                n_into=count_words_by_search(m.delta, m.start, states_reaching(m.delta, {p}), {p}),
+                n_diff=count_words_by_search(diff.delta, diff.start, useful_states(diff), diff.accepting),
                 before=m,
                 after=merged,
             )

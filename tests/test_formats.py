@@ -118,6 +118,27 @@ def test_incomplete_table_rejected_and_completable():
     assert not d.accepts("00")
 
 
+def test_line_reader_counts_the_sink_only_when_complete_needs_it():
+    # CRLF text, which the column reader declines, read with complete=True
+    head = "dfa v1\nalphabet 01\nstates 3\nstart 0\naccept 1\n"
+    cases = (
+        # a complete table: no sink, and no warning
+        (head + "0 0 1\n0 1 2\n1 0 1\n1 1 2\n2 0 2\n2 1 0\n",
+         Dfa("01", 0, {1}, ((1, 2), (1, 2), (2, 0))), []),
+        # gaps only in the unreachable row 2: the sink is built, unreachable, and trimmed
+        (head + "0 0 1\n0 1 0\n1 0 1\n1 1 0\n2 0 2\n",
+         Dfa("01", 0, {1}, ((1, 0), (1, 0))), ["trimmed 2 unreachable states"]),
+        # a gap in the reachable row 1: the sink is kept, and row 2 is trimmed
+        (head + "0 0 1\n0 1 0\n1 0 1\n2 0 2\n2 1 2\n",
+         Dfa("01", 0, {1}, ((1, 0), (1, 2), (2, 2))), ["trimmed 1 unreachable state"]),
+    )
+    for text, machine, messages in cases:
+        text = text.replace("\n", "\r\n")
+        expected = (machine, [(TrimWarning, message) for message in messages])
+        assert parse_outcome(parse_dfa, text, True) == expected
+        assert parse_outcome(parse_dfa_by_lines, text, True) == expected
+
+
 HUGE_DECLARATION = "dfa v1\nalphabet 01\nstates 1000000\nstart 0\naccept 0 999999\n0 0 0\n"
 
 

@@ -41,7 +41,7 @@ from fdfa.parts import compute_parts, words_reaching
 import machines as fixtures
 from conftest import count_calls, dfas, sigma_upto, structured_machines, trie_on_kernel
 from oracle import oracle_diff
-from reference import language_kind_by_cycles, list_words_by_prefixes
+from reference import count_words_by_search, language_kind_by_cycles, list_words_by_prefixes
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -265,6 +265,7 @@ def test_diff_words_are_exactly_the_disagreements(a, b):
 
 def assert_count_matches_listing(d, useful, targets):
     n = _count_words(d.delta, d.start, useful, targets)
+    assert n == count_words_by_search(d.delta, d.start, useful, targets)
     # a listing can be exponentially long; compare only those that stay small
     if n <= 2 ** 14:
         assert n == _list_text(d, useful, targets).count("\n")
@@ -283,6 +284,14 @@ def test_count_words_matches_the_listing(d):
                 if p != q:
                     prod = product_xor(induce(d, p), induce(d, q)).dfa
                     assert_count_matches_listing(prod, useful_states(prod), prod.accepting)
+
+
+def test_count_words_matches_the_search_beyond_the_listing():
+    # 3^30 words reach the last state of the Σ^{≤30} chain, far too many to list
+    d = sigma_upto(30, "012")
+    useful = states_reaching(d.delta, {30})
+    assert_count_matches_listing(d, useful, {30})
+    assert count_words_by_search(d.delta, d.start, useful, {30}) == 3 ** 30
 
 
 def shortlex_oracle(a, b):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .classes import state_class_partition
 from .construct import construct_pair
@@ -20,9 +19,9 @@ from .formats import (
     EPSILON_TOKEN,
     DfaFormatError,
     _parse,
+    _read_words,
     _trimmed,
     format_word,
-    parse_word_list,
     serialize_dfa,
 )
 from .iso import finite_part_iso, infinite_part_iso
@@ -37,12 +36,18 @@ class CliError(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded in one step, with the line ends of text mode."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    if "\r" in text:
+        # as universal newlines: \r\n and a lone \r both end a line as \n
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load(path: str, *, complete: bool = False) -> Dfa:
@@ -61,7 +66,8 @@ def _write_dfa(d: Dfa, path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -163,7 +169,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_construct(args) -> int:
     try:
-        words = parse_word_list(_read(args.words))
+        words = _read_words(_read(args.words), args.alphabet)
     except DfaFormatError as exc:
         raise CliError(f"{args.words}: {exc}") from exc
     left, right = construct_pair(words, args.alphabet)

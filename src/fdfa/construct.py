@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, check_alphabet
+from .core import Dfa, Word, check_alphabet, check_word
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class ConstructionSpec:
             raise ValueError("the construction needs at least two symbols")
         cleaned = sorted(set(words), key=lambda w: (len(w), w))
         for w in cleaned:
-            for sym in w:
-                if sym not in alphabet:
-                    raise ValueError(f"word {w!r} uses symbol {sym!r} outside alphabet {alphabet!r}")
+            check_word(w, alphabet)
         depth = max((len(w) for w in cleaned), default=0)
         return cls(tuple(cleaned), alphabet, depth)
 

@@ -32,6 +32,13 @@ def check_alphabet(alphabet: str) -> None:
             raise ValueError(f"alphabet symbol {sym!r} is whitespace or unprintable")
 
 
+def check_word(word: Word, alphabet: str) -> None:
+    """Reject a word that uses a symbol outside ``alphabet``."""
+    for sym in word:
+        if sym not in alphabet:
+            raise ValueError(f"word {word!r} uses symbol {sym!r} outside alphabet {alphabet!r}")
+
+
 def reachable_states(delta: Iterable[Iterable[int]], start: int) -> set[int]:
     """States reachable from ``start`` in a raw transition table (rows of successor ids)."""
     return set(_forward_closure(list(delta), (start,)))

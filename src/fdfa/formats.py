@@ -24,7 +24,15 @@ from __future__ import annotations
 import re
 import warnings
 
-from .core import Dfa, Word, _forward_closure, _lex_symbol_order, _renumber, check_alphabet
+from .core import (
+    Dfa,
+    Word,
+    _forward_closure,
+    _lex_symbol_order,
+    _renumber,
+    check_alphabet,
+    check_word,
+)
 
 EPSILON_TOKEN = "@"
 
@@ -56,10 +64,12 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     Unreachable states are dropped with a :class:`TrimWarning` and ids reindexed
     densely.  A missing transition is an error unless ``complete=True``, which
     routes every missing transition to a fresh rejecting sink before validation.
-    A transition section in the canonical layout :func:`serialize_dfa` writes
-    is read by columns; any other text is read and checked line by line.
-    Either way the checks cost what the input holds, never what ``states``
-    declares.
+    Text in the canonical layout :func:`serialize_dfa` writes is read in two
+    steps: its five header lines by one regex match, its ids converted in bulk,
+    and its transition section by columns.  Any other header is read and
+    checked line by line, and so is any other transition section; only these
+    line readers report errors, each naming its line.  Either way the checks
+    cost what the input holds, never what ``states`` declares.
     """
     d, dropped = _parse(text, complete)
     if dropped:
@@ -74,6 +84,55 @@ def _trimmed(dropped: int) -> str:
 def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
     """:func:`parse_dfa` without the warning: the machine, and how many
     unreachable states were dropped from it."""
+    alphabet, n, start, accepting, line_no, body = _match_header(text) or _read_header(text)
+    rows = _read_columns(text, body, alphabet, n)
+    if rows is None:
+        numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
+        rows, reached, n = _read_lines(numbered, alphabet, n, start, complete)
+    else:
+        reached = _forward_closure(rows, (start,))
+    # the checks above and the search establish everything Dfa.__post_init__ checks
+    if len(reached) == n:
+        # every state is reachable, so the ids are already dense
+        delta = tuple(map(rows.__getitem__, range(n)))
+        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta), 0
+    d, _ = _renumber(alphabet, start, accepting, rows, reached)
+    return d, n - len(reached)
+
+
+# the header exactly as serialize_dfa writes it; the ids are ASCII digits
+_HEADER = re.compile(
+    r"dfa v1\nalphabet ([^\s#]+)\nstates ([0-9]+)\nstart ([0-9]+)\naccept (-|[0-9]+(?: [0-9]+)*)\n")
+
+
+def _match_header(text: str):
+    """The header of ``text`` read by one match, or None.
+
+    Gives (alphabet, state count, start, accepting ids, 5, offset after the
+    header) when the first five lines are in the layout :func:`serialize_dfa`
+    writes and pass every header check.  Any other header, and any failed
+    check, gives None and is left to :func:`_read_header`, which names the
+    line at fault.
+    """
+    m = _HEADER.match(text)
+    if m is None:
+        return None
+    alphabet, states, start, accept = m.groups()
+    try:
+        check_alphabet(alphabet)
+        n, start = int(states), int(start)
+        accepting = set() if accept == "-" else set(map(int, accept.split(" ")))
+    except ValueError:  # a bad alphabet, or more digits than int() converts
+        return None
+    if n < 1 or start >= n or (accepting and max(accepting) >= n):
+        return None
+    return alphabet, n, start, accepting, 5, m.end()
+
+
+def _read_header(text: str):
+    """The header of ``text`` read from its logical lines, as :func:`_match_header`
+    gives it but with the number of the accept line; the first failed check
+    raises :class:`DfaFormatError` naming its line."""
     lines = _logical_lines(text)
     body = 0  # offset of the text after the last line read
 
@@ -124,20 +183,7 @@ def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
             if not 0 <= q < n:
                 raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
             accepting.add(q)
-
-    rows = _read_columns(text, body, alphabet, n)
-    if rows is None:
-        numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
-        rows, reached, n = _read_lines(numbered, alphabet, n, start, complete)
-    else:
-        reached = _forward_closure(rows, (start,))
-    # the checks above and the search establish everything Dfa.__post_init__ checks
-    if len(reached) == n:
-        # every state is reachable, so the ids are already dense
-        delta = tuple(map(rows.__getitem__, range(n)))
-        return Dfa._unchecked(alphabet, start, frozenset(accepting), delta), 0
-    d, _ = _renumber(alphabet, start, accepting, rows, reached)
-    return d, n - len(reached)
+    return alphabet, n, start, accepting, line_no, body
 
 
 # the line breaks of str.splitlines
@@ -310,15 +356,31 @@ def parse_word_list(text: str) -> list[Word]:
 
     A bad line raises :class:`DfaFormatError`, which names the line.
     """
-    words = []
+    return _read_words(text, None)
+
+
+def _read_words(text: str, alphabet: str | None) -> list[Word]:
+    """:func:`parse_word_list`, and unless ``alphabet`` is None, each word then
+    checked against it, so that a word outside it names its line too.
+
+    Format errors come first; an invalid ``alphabet`` then raises the
+    :func:`check_alphabet` error, which has no line."""
+    numbered = []
     for line_no, content, _ in _logical_lines(text):
         if len(content.split()) != 1:
             raise DfaFormatError(f"expected one word per line, got {content!r}", line_no)
         try:
-            words.append(parse_word(content))
+            numbered.append((line_no, parse_word(content)))
         except ValueError as exc:
             raise DfaFormatError(str(exc), line_no) from None
-    return words
+    if alphabet is not None:
+        check_alphabet(alphabet)
+        for line_no, word in numbered:
+            try:
+                check_word(word, alphabet)
+            except ValueError as exc:
+                raise DfaFormatError(str(exc), line_no) from None
+    return [word for _, word in numbered]
 
 
 def serialize_word_list(words) -> str:

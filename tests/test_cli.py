@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdfa import formats
 from fdfa.cli import main
 from fdfa.formats import serialize_dfa
 
-from conftest import dfas, sigma_upto
+from conftest import count_calls, dfas, sigma_upto
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -370,3 +371,67 @@ def test_any_input_ends_in_a_verdict_or_a_usage_error(fuzz_dir, data):
         assert code in (0, 2), (argv, data, err.getvalue())
         if code == 2:
             assert err.getvalue().splitlines()[-1].startswith("fdfa: error: "), err.getvalue()
+
+
+def test_word_outside_the_alphabet_names_the_file_and_the_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("W").write_text("0\nc\n")
+    assert main(["construct", "--words", "W", "--alphabet", "01", "-o1", "a.dfa", "-o2", "b.dfa"]) == 2
+    assert capsys.readouterr() == ("", "fdfa: error: W: line 2: word 'c' uses symbol 'c' outside alphabet '01'\n")
+    assert not Path("a.dfa").exists()
+
+
+def run_main(argv, capsys, outputs=()):
+    """Exit code, stdout, stderr and the bytes of each output file of one call."""
+    for name in outputs:
+        Path(name).unlink(missing_ok=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [Path(name).read_bytes() for name in outputs]
+
+
+def test_line_ends_are_read_as_text_mode_reads_them(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lf = (FIXTURES / "onezstar.dfa").read_bytes()
+    lines = lf.split(b"\n")[:-1]
+    copies = {
+        "crlf.dfa": lf.replace(b"\n", b"\r\n"),
+        "cr.dfa": lf.replace(b"\n", b"\r"),
+        "mixed.dfa": b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3] for i, line in enumerate(lines)),
+    }
+    Path("lf.dfa").write_bytes(lf)
+    for name, data in copies.items():
+        Path(name).write_bytes(data)
+    header_reads = count_calls(monkeypatch, formats._logical_lines)
+    line_reads = count_calls(monkeypatch, formats._read_lines)
+    for command in (["check", "{}", "-o", "out.dfa"], ["findiff", "{}", "lf.dfa"], ["findiff", "lf.dfa", "{}"]):
+        outputs = ["out.dfa"] if "-o" in command else []
+        want = run_main([a.format("lf.dfa") for a in command], capsys, outputs)
+        assert want[0] == 0
+        for name in copies:
+            assert run_main([a.format(name) for a in command], capsys, outputs) == want, (command, name)
+    assert Path("out.dfa").read_bytes() == lf
+    # the line ends become \n before parsing, so every copy is read as canonical text
+    assert header_reads == line_reads == []
+
+    words = ["construct", "--words", "{}", "--alphabet", "01", "-o1", "l.dfa", "-o2", "r.dfa"]
+    Path("w.txt").write_bytes(b"@\n0\n# note\n11\n")
+    Path("w-crlf.txt").write_bytes(b"@\r\n0\r\n# note\r\n11\r\n")
+    want = run_main([a.format("w.txt") for a in words], capsys, ["l.dfa", "r.dfa"])
+    assert want[0] == 0
+    assert run_main([a.format("w-crlf.txt") for a in words], capsys, ["l.dfa", "r.dfa"]) == want
+
+
+def test_read_errors_are_the_ones_text_mode_gave(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("adir").mkdir()
+    Path("bad.dfa").write_bytes((FIXTURES / "onezstar.dfa").read_bytes()[:40] + b"\xff\n")
+    for path, error in (
+        ("missing.dfa", "cannot read missing.dfa: No such file or directory"),
+        ("adir", "cannot read adir: Is a directory"),
+        ("bad.dfa", "bad.dfa: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte"),
+    ):
+        for argv in (["check", path], ["findiff", fix("zstar"), path],
+                     ["construct", "--words", path, "--alphabet", "01", "-o1", "l.dfa", "-o2", "r.dfa"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"fdfa: error: {error}\n"), argv

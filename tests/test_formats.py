@@ -415,3 +415,74 @@ def test_canonical_text_never_enters_the_per_line_loop(monkeypatch, suite2):
     # any other text is read line by line
     parse_dfa(serialize_dfa(big).replace("\n", "\r\n"))
     assert len(calls) == 1
+
+
+def header_variants(d):
+    """``serialize_dfa(d)`` with one header line rewritten, each with a name.
+
+    Some rewrites keep the header's meaning in another spelling, some break a
+    header check, and some only leave the layout :func:`serialize_dfa` writes.
+    """
+    text = serialize_dfa(d)
+    head = text.split("\n", 5)[:5]
+    body = text.split("\n", 5)[5]
+    n = d.n_states
+    acc = sorted(d.accepting)
+
+    def swap(i, line):
+        lines = head[:]
+        lines[i] = line
+        return "\n".join(lines) + "\n" + body
+
+    for token in ("0" + str(n), "+" + str(n), "٠" * 2 + str(n)):
+        yield f"states {token}", swap(2, f"states {token}")
+    for token in ("0" + str(d.start), "+" + str(d.start), "١" if n > 1 else "٠"):
+        yield f"start {token}", swap(3, f"start {token}")
+    for token in ("0" + str(acc[0]), "+" + str(acc[0]), "١"):
+        yield f"accept {token}", swap(4, f"accept {token}")
+    yield "accept unsorted", swap(4, "accept " + " ".join(map(str, acc[::-1])))
+    yield "accept duplicate", swap(4, "accept " + " ".join(map(str, acc + acc)))
+    yield "accept out of range", swap(4, f"accept {acc[0]} {n}")
+    yield "accept no ids", swap(4, "accept")
+    yield "accept - 1", swap(4, "accept - 1")
+    yield "accept two spaces", swap(4, "accept " + "  ".join(map(str, acc)))
+    yield "states 0", swap(2, "states 0")
+    yield "start out of range", swap(3, f"start {n}")
+    for alphabet in (d.alphabet + "@", d.alphabet + "#", d.alphabet + d.alphabet[0]):
+        yield f"alphabet {alphabet}", swap(1, f"alphabet {alphabet}")
+    for i in range(5):
+        yield f"comment on line {i + 1}", swap(i, head[i] + " # note")
+        yield f"trailing blank on line {i + 1}", swap(i, head[i] + " ")
+        yield f"tab on line {i + 1}", swap(i, head[i].replace(" ", "\t"))
+    yield "CRLF header", "\r\n".join(head) + "\r\n" + body
+    yield "lone CR header", "\r".join(head) + "\r" + body
+    yield "CRLF after accept", "\n".join(head) + "\r\n" + body
+
+
+def test_header_variants_read_like_the_line_by_line_reference():
+    d = Dfa("01", 1, frozenset({0, 2}), ((1, 2), (2, 0), (0, 0)))
+    for name, text in header_variants(d):
+        for complete in (False, True):
+            got = parse_outcome(parse_dfa, text, complete)
+            assert got == parse_outcome(parse_dfa_by_lines, text, complete), (name, complete, text)
+
+
+def test_canonical_header_is_matched_without_the_line_reader(monkeypatch, suite2):
+    calls = []
+    logical_lines = formats._logical_lines
+
+    def counted(text):
+        calls.append(text)
+        return logical_lines(text)
+
+    monkeypatch.setattr(formats, "_logical_lines", counted)
+    big = random_machine(3, 2_000, "ba")
+    texts = [serialize_dfa(d) for d in (*suite2, big, sigma_upto(40, "012"))]
+    for text in texts:
+        parse_dfa(text)
+    assert calls == []
+    for text in texts:
+        calls.clear()
+        head, rest = text.split("\nstart ", 1)
+        assert parse_dfa(head + " # declared\nstart " + rest) == parse_dfa(text)
+        assert len(calls) == 1

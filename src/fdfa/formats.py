@@ -64,12 +64,14 @@ def parse_dfa(text: str, *, complete: bool = False) -> Dfa:
     Unreachable states are dropped with a :class:`TrimWarning` and ids reindexed
     densely.  A missing transition is an error unless ``complete=True``, which
     routes every missing transition to a fresh rejecting sink before validation.
-    Text in the canonical layout :func:`serialize_dfa` writes is read in two
-    steps: its five header lines by one regex match, its ids converted in bulk,
-    and its transition section by columns.  Any other header is read and
-    checked line by line, and so is any other transition section; only these
-    line readers report errors, each naming its line.  Either way the checks
-    cost what the input holds, never what ``states`` declares.
+    One regex match finds the five header lines when they are in the layout
+    :func:`serialize_dfa` writes; any other header is split into its logical
+    lines.  One set of checks then reads every header, and the first failed
+    check names its line.  A transition section in the canonical layout is
+    read by columns, its ids converted in bulk; any other is read and checked
+    line by line, and only that reader reports transition errors, each naming
+    its line.  Either way the checks cost what the input holds, never what
+    ``states`` declares.
     """
     d, dropped = _parse(text, complete)
     if dropped:
@@ -84,7 +86,7 @@ def _trimmed(dropped: int) -> str:
 def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
     """:func:`parse_dfa` without the warning: the machine, and how many
     unreachable states were dropped from it."""
-    alphabet, n, start, accepting, line_no, body = _match_header(text) or _read_header(text)
+    alphabet, n, start, accepting, line_no, body = _read_header(text)
     rows = _read_columns(text, body, alphabet, n)
     if rows is None:
         numbered = enumerate(text[body:].splitlines(), start=line_no + 1)
@@ -100,40 +102,24 @@ def _parse(text: str, complete: bool) -> tuple[Dfa, int]:
     return d, n - len(reached)
 
 
-# the header exactly as serialize_dfa writes it; the ids are ASCII digits
-_HEADER = re.compile(
-    r"dfa v1\nalphabet ([^\s#]+)\nstates ([0-9]+)\nstart ([0-9]+)\naccept (-|[0-9]+(?: [0-9]+)*)\n")
-
-
-def _match_header(text: str):
-    """The header of ``text`` read by one match, or None.
-
-    Gives (alphabet, state count, start, accepting ids, 5, offset after the
-    header) when the first five lines are in the layout :func:`serialize_dfa`
-    writes and pass every header check.  Any other header, and any failed
-    check, gives None and is left to :func:`_read_header`, which names the
-    line at fault.
-    """
-    m = _HEADER.match(text)
-    if m is None:
-        return None
-    alphabet, states, start, accept = m.groups()
-    try:
-        check_alphabet(alphabet)
-        n, start = int(states), int(start)
-        accepting = set() if accept == "-" else set(map(int, accept.split(" ")))
-    except ValueError:  # a bad alphabet, or more digits than int() converts
-        return None
-    if n < 1 or start >= n or (accepting and max(accepting) >= n):
-        return None
-    return alphabet, n, start, accepting, 5, m.end()
+# the five header lines in the layout serialize_dfa writes: no comment, blank or
+# other line end; this only finds them, and _read_header checks them like any other
+_HEADER = re.compile(r"dfa v1\nalphabet [^\s#]+\nstates [0-9]+\nstart [0-9]+\naccept [-0-9 ]+\n")
 
 
 def _read_header(text: str):
-    """The header of ``text`` read from its logical lines, as :func:`_match_header`
-    gives it but with the number of the accept line; the first failed check
-    raises :class:`DfaFormatError` naming its line."""
-    lines = _logical_lines(text)
+    """(alphabet, state count, start, accepting ids, number of the accept
+    line, offset after it) from the header of ``text``; the first failed
+    check raises :class:`DfaFormatError` naming its line.
+
+    A header in the layout :func:`serialize_dfa` writes is found by one match
+    of :data:`_HEADER`; any other is read from its logical lines.  Either way
+    the same checks then read it, in the same order."""
+    m = _HEADER.match(text)
+    if m is None:
+        lines = _logical_lines(text)
+    else:
+        lines = zip(range(1, 6), text[:m.end() - 1].split("\n"), [m.end()] * 5)
     body = 0  # offset of the text after the last line read
 
     def next_line(expect: str):
@@ -178,11 +164,16 @@ def _read_header(text: str):
         raise DfaFormatError("expected 'accept <ids>' or 'accept -'", line_no)
     accepting: set[int] = set()
     if fields[1:] != ["-"]:
-        for token in fields[1:]:
-            q = _parse_int(token, "accepting state", line_no)
-            if not 0 <= q < n:
-                raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
-            accepting.add(q)
+        try:
+            accepting = set(map(int, fields[1:]))
+        except ValueError:
+            pass
+        if not accepting or min(accepting) < 0 or max(accepting) >= n:
+            # some id fails a check: the first one in line order names it
+            for token in fields[1:]:
+                q = _parse_int(token, "accepting state", line_no)
+                if not 0 <= q < n:
+                    raise DfaFormatError(f"accepting state {q} out of range 0..{n - 1}", line_no)
     return alphabet, n, start, accepting, line_no, body
 
 

@@ -457,6 +457,12 @@ def header_variants(d):
     yield "CRLF header", "\r\n".join(head) + "\r\n" + body
     yield "lone CR header", "\r".join(head) + "\r" + body
     yield "CRLF after accept", "\n".join(head) + "\r\n" + body
+    # accept lines in the canonical layout that the bulk conversion must reject as the line reader does
+    yield "accept 20,000 ids, the last out of range", swap(4, "accept " + " ".join(map(str, [acc[0]] * 19_999 + [n])))
+    yield "accept out of range before 1-", swap(4, f"accept {acc[0]} {n} 1-")
+    yield "accept 1- before out of range", swap(4, f"accept {acc[0]} 1- {n}")
+    yield "accept -1", swap(4, f"accept {acc[0]} -1")
+    yield "accept 5,000 digits", swap(4, "accept " + "0" * 4_999 + "1")
 
 
 def test_header_variants_read_like_the_line_by_line_reference():
@@ -486,3 +492,16 @@ def test_canonical_header_is_matched_without_the_line_reader(monkeypatch, suite2
         head, rest = text.split("\nstart ", 1)
         assert parse_dfa(head + " # declared\nstart " + rest) == parse_dfa(text)
         assert len(calls) == 1
+    # a canonical-layout header that fails a check is read once, by the one set of checks
+    head = "dfa v1\nalphabet {}\nstates {}\nstart {}\naccept {}\n"
+    body = "0 0 1\n0 1 2\n1 0 2\n1 1 0\n2 0 0\n2 1 0\n"
+    for fields in (("01", "0", "0", "0"), ("01", "3", "3", "0"), ("01", "3", "1", "0 9"),
+                   ("0@", "3", "1", "0"), ("00", "3", "1", "0"), ("01", "5" * 5_000, "1", "0")):
+        text = head.format(*fields) + body
+        with pytest.raises(DfaFormatError) as want:
+            parse_dfa_by_lines(text)
+        calls.clear()
+        with pytest.raises(DfaFormatError) as got:
+            parse_dfa(text)
+        assert str(got.value) == str(want.value), fields
+        assert calls == [], fields

@@ -8,7 +8,7 @@ class, builds the isomorphisms that relate such machines, and constructs
 machine pairs realizing any chosen finite difference.
 """
 
-from .classes import StateClassPartition, class_matching, state_class_partition
+from .classes import StateClassPartition, state_class_partition
 from .construct import ConstructionSpec, construct_pair
 from .core import (
     AlphabetMismatchError,
@@ -55,7 +55,7 @@ from .language import (
     languages_equal,
     symmetric_difference,
 )
-from .minimize import distinguishing_word, is_minimized, minimize, minimize_with_map
+from .minimize import is_minimized, minimize, minimize_with_map
 from .parts import PartsPartition, compute_parts, words_reaching
 from .rand import random_dfa
 
@@ -79,11 +79,9 @@ __all__ = [
     "StateBijection",
     "StateClassPartition",
     "TrimWarning",
-    "class_matching",
     "classify_language",
     "compute_parts",
     "construct_pair",
-    "distinguishing_word",
     "enumerate_finite_language",
     "f_merge",
     "f_minimize",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Dfa, disjoint_union
+from .core import Dfa, _peel
 from .minimize import StatePartition, moore_blocks
 
 
@@ -30,6 +30,74 @@ class StateClassPartition:
         return self._by_id[class_id]
 
 
+class _TableAnalysis:
+    """The Moore blocks, finite part and ~ classes of one raw table, each
+    computed on first read: one machine's table, or the disjoint union of two,
+    whose classes are ~ across both.  A caller builds one per call."""
+
+    def __init__(self, delta, accepting):
+        self.delta, self.accepting = delta, accepting
+
+    @cached_property
+    def blocks(self) -> StatePartition:
+        return moore_blocks(self.delta, self.accepting)
+
+    @cached_property
+    def finite(self) -> frozenset[int]:
+        # peeling needs no start state, so on a union it splits both machines
+        return frozenset(_peel(self.delta, range(len(self.delta))))
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        # the pass of finite_difference_classes on ``blocks``, which a caller
+        # that knows its table is minimized may set instead of refining
+        block_of, b = self.blocks.block_of, self.blocks.n_blocks
+        succ: list[list[int] | None] = [None] * b
+        for q, x in enumerate(block_of):
+            if succ[x] is None:
+                succ[x] = [block_of[t] for t in self.delta[q]]
+        preds: list[list[int]] = [[] for _ in range(b)]
+        for x, row in enumerate(succ):
+            for y in set(row):
+                preds[y].append(x)
+        alive = [True] * b
+        # rows hold only live blocks, so a key of live blocks maps to the live
+        # block whose row it is; a key that holds a merged block is stale and unused
+        holder: dict[tuple[int, ...], int] = {}
+        merges: list[tuple[int, int]] = []
+        work = list(range(b))
+        while work:
+            x = work.pop()
+            if not alive[x]:
+                continue
+            key = tuple(succ[x])
+            y = holder.setdefault(key, x)
+            if y == x:
+                continue
+            if len(preds[x]) > len(preds[y]):
+                x, y = y, x
+            alive[x] = False
+            holder[key] = y
+            merges.append((x, y))
+            for r in preds[x]:
+                if alive[r]:
+                    succ[r] = [y if t == x else t for t in succ[r]]
+                    work.append(r)
+            preds[y] += preds[x]
+        leader = list(range(b))
+        for x, y in reversed(merges):
+            leader[x] = leader[y]
+        smallest: dict[int, int] = {}
+        for q, x in enumerate(block_of):
+            smallest.setdefault(leader[x], q)
+        return tuple(smallest[leader[x]] for x in block_of)
+
+    def part(self, states: range, finite: bool) -> list[int]:
+        # the states of ``states`` in the finite (or infinite) part, renumbered
+        # from ``states.start``
+        return [q - states.start for q in states if (q in self.finite) == finite]
+
+
 def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     """The ~ class of every state of a raw transition table, as its smallest member.
 
@@ -43,53 +111,7 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
     entry O(log b) times, so the pass costs O(k²·b log b) for k symbols after
     Moore refinement, and it builds no table of block pairs.
     """
-    return _classes_of_blocks(delta, moore_blocks(delta, accepting))
-
-
-def _classes_of_blocks(delta, part: StatePartition) -> tuple[int, ...]:
-    # the block-merging pass of finite_difference_classes on a given partition
-    # into blocks of equal languages, so a caller that already holds one, or
-    # knows its table is minimized, skips refinement
-    block_of, b = part.block_of, part.n_blocks
-    succ: list[list[int] | None] = [None] * b
-    for q, x in enumerate(block_of):
-        if succ[x] is None:
-            succ[x] = [block_of[t] for t in delta[q]]
-    preds: list[list[int]] = [[] for _ in range(b)]
-    for x, row in enumerate(succ):
-        for y in set(row):
-            preds[y].append(x)
-    alive = [True] * b
-    # rows hold only live blocks, so a key of live blocks maps to the live block
-    # whose row it is; a key that holds a merged block is stale and unused
-    holder: dict[tuple[int, ...], int] = {}
-    merges: list[tuple[int, int]] = []
-    work = list(range(b))
-    while work:
-        x = work.pop()
-        if not alive[x]:
-            continue
-        key = tuple(succ[x])
-        y = holder.setdefault(key, x)
-        if y == x:
-            continue
-        if len(preds[x]) > len(preds[y]):
-            x, y = y, x
-        alive[x] = False
-        holder[key] = y
-        merges.append((x, y))
-        for r in preds[x]:
-            if alive[r]:
-                succ[r] = [y if t == x else t for t in succ[r]]
-                work.append(r)
-        preds[y] += preds[x]
-    leader = list(range(b))
-    for x, y in reversed(merges):
-        leader[x] = leader[y]
-    smallest: dict[int, int] = {}
-    for q, x in enumerate(block_of):
-        smallest.setdefault(leader[x], q)
-    return tuple(smallest[leader[x]] for x in block_of)
+    return _TableAnalysis(delta, accepting).class_of
 
 
 def state_class_partition(d: Dfa) -> StateClassPartition:
@@ -103,17 +125,3 @@ def _partition_of(class_of: tuple[int, ...]) -> StateClassPartition:
         grouped.setdefault(cid, []).append(q)
     classes = tuple(tuple(grouped[cid]) for cid in sorted(grouped))
     return StateClassPartition(class_of, classes)
-
-
-def class_matching(a: Dfa, b: Dfa) -> dict[int, int] | None:
-    """Bijection a-class-id -> b-class-id induced by ~ across machines, or None."""
-    class_of = finite_difference_classes(*disjoint_union(a, b))
-    n = a.n_states
-    # in the union, a class holding a state of a is named by its smallest a-state
-    a_ids = set(class_of[:n])
-    b_id: dict[int, int] = {}
-    for q in b.states:
-        b_id.setdefault(class_of[n + q], q)
-    if a_ids != b_id.keys():
-        return None
-    return {cid: b_id[cid] for cid in sorted(a_ids)}

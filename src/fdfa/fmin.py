@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import Dfa, _forward_closure, _trim, _xor_rows, induce, states_reaching
-from .classes import _classes_of_blocks, _partition_of, state_class_partition
+from .classes import _partition_of, _TableAnalysis
 from .language import _count_words, symmetric_difference
-from .minimize import StatePartition, is_minimized, minimize, moore_blocks
+from .minimize import StatePartition, is_minimized, minimize
 from .parts import compute_parts, words_reaching
 
 
@@ -43,10 +43,10 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
             raise FMergeError(f"state {s} out of range")
     if p == q:
         raise FMergeError(f"cannot merge state {p} with itself")
-    if p not in compute_parts(d).finite:
+    table = _TableAnalysis(d.delta, d.accepting)
+    if p not in table.finite:
         raise FMergeError(f"state {p} is in the infinite part")
-    class_of = state_class_partition(d).class_of
-    if class_of[p] != class_of[q]:
+    if table.class_of[p] != table.class_of[q]:
         raise FMergeError(f"states {p} and {q} are not finitely different")
     return _merge(d, p, q)
 
@@ -156,8 +156,9 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     n = m0.n_states
     parts = compute_parts(m0)
     finite = set(parts.finite)
-    # m0 is minimized, so every state is its own Moore block
-    classes = _partition_of(_classes_of_blocks(m0.delta, StatePartition(tuple(range(n)), n)))
+    table = _TableAnalysis(m0.delta, m0.accepting)
+    table.blocks = StatePartition(tuple(range(n)), n)  # m0 is minimized: no refinement
+    classes = _partition_of(table.class_of)
     class_of = classes.class_of
     members = {cls[0]: list(cls) for cls in classes.classes}
     rows = [list(row) for row in m0.delta]
@@ -217,21 +218,27 @@ def is_f_minimal(d: Dfa) -> tuple[bool, tuple[int, int] | None]:
 
     When false, returns a violating pair (p, q) that could be merged.
     """
-    part = moore_blocks(d.delta, d.accepting)
-    if part.n_blocks < d.n_states:
-        by_block: dict[int, int] = {}
-        for s, b in enumerate(part.block_of):
-            if b in by_block:
-                return False, (by_block[b], s)
-            by_block[b] = s
-    parts = compute_parts(d)
-    # d is minimized, so its Moore blocks give its classes without refining again
-    classes = _partition_of(_classes_of_blocks(d.delta, part))
-    for p in sorted(parts.finite):
-        mates = [s for s in classes.members(classes.class_of[p]) if s != p]
+    pair = _mergeable_pair(_TableAnalysis(d.delta, d.accepting), d.states)
+    return pair is None, pair
+
+
+def _mergeable_pair(table: _TableAnalysis, states: range) -> tuple[int, int] | None:
+    # the pair is_f_minimal reports for the machine on ``states`` of ``table``,
+    # renumbered from ``states.start``; equal languages and ~ do not depend on
+    # the rest of the table, so a union answers for either of its machines
+    first_in_block: dict[int, int] = {}
+    for s, x in enumerate(table.blocks.block_of[states.start:states.stop]):
+        if first_in_block.setdefault(x, s) != s:
+            return first_in_block[x], s
+    class_of = table.class_of[states.start:states.stop]
+    members: dict[int, list[int]] = {}
+    for s, c in enumerate(class_of):
+        members.setdefault(c, []).append(s)
+    for p in table.part(states, finite=True):
+        mates = [s for s in members[class_of[p]] if s != p]
         if mates:
-            return False, (p, min(mates))
-    return True, None
+            return p, mates[0]
+    return None
 
 
 def flip_finite_acceptance(d: Dfa, states) -> Dfa:
@@ -245,7 +252,7 @@ def flip_finite_acceptance(d: Dfa, states) -> Dfa:
     for s in flip:
         if s not in d.states:
             raise ValueError(f"state {s} out of range")
-    outside = flip - compute_parts(d).finite
+    outside = flip - _TableAnalysis(d.delta, d.accepting).finite
     if outside:
         raise FMergeError(f"states not in the finite part: {sorted(outside)}")
     return Dfa(d.alphabet, d.start, d.accepting ^ flip, d.delta)
@@ -263,16 +270,15 @@ def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: i
     if new_target not in d.states:
         raise ValueError(f"state {new_target} out of range")
     ci = d.symbol_index(symbol)
-    parts = compute_parts(d)
-    if source not in parts.finite:
+    table = _TableAnalysis(d.delta, d.accepting)
+    if source not in table.finite:
         raise FMergeError(f"source state {source} is not in the finite part")
     old = d.delta[source][ci]
-    if old not in parts.infinite:
+    if old in table.finite:
         raise FMergeError(f"transition ({source}, {symbol!r}) does not enter the infinite part")
-    if new_target not in parts.infinite:
+    if new_target in table.finite:
         raise FMergeError(f"new target {new_target} is not in the infinite part")
-    class_of = state_class_partition(d).class_of
-    if class_of[old] != class_of[new_target]:
+    if table.class_of[old] != table.class_of[new_target]:
         raise FMergeError(
             f"new target {new_target} is not finitely different from old target {old}"
         )

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, disjoint_union
-from .classes import finite_difference_classes
-from .fmin import is_f_minimal
-from .minimize import moore_blocks
-from .parts import compute_parts
+from .core import AlphabetMismatchError, Dfa, disjoint_union
+from .classes import _TableAnalysis
+from .fmin import _mergeable_pair, is_f_minimal
 
 INFINITE_PART = "infinite"
 FINITE_PART = "finite"
@@ -29,16 +27,16 @@ def verify_bijection(a: Dfa, b: Dfa, bij: StateBijection) -> tuple[bool, str | N
     """Check the part-isomorphism conditions; returns (ok, first broken condition).
 
     A malformed bijection (domain or range not exactly the tagged part, or a
-    repeated source/target) raises instead of returning false.
+    repeated source/target) raises instead of returning false, and so do
+    machines over different alphabets.
     """
-    parts_a = compute_parts(a)
-    parts_b = compute_parts(b)
-    if bij.part == INFINITE_PART:
-        dom_expect, rng_expect = parts_a.infinite, parts_b.infinite
-    elif bij.part == FINITE_PART:
-        dom_expect, rng_expect = parts_a.finite, parts_b.finite
-    else:
+    table = _TableAnalysis(*disjoint_union(a, b))
+    if bij.part not in (INFINITE_PART, FINITE_PART):
         raise ValueError(f"unknown part tag {bij.part!r}")
+    n = a.n_states
+    finite = bij.part == FINITE_PART
+    dom_expect = set(table.part(range(n), finite))
+    rng_expect = set(table.part(range(n, n + b.n_states), finite))
     sources = [s for s, _ in bij.mapping]
     targets = [t for _, t in bij.mapping]
     if len(set(sources)) != len(sources) or set(sources) != dom_expect:
@@ -71,28 +69,24 @@ def infinite_part_iso(a: Dfa, b: Dfa) -> StateBijection | None:
     machines each language occurs at most once, so this matching succeeds
     exactly when the infinite parts are isomorphic, and is then unique.
     """
-    # one Moore partition of both machines: equal languages share a block, so
-    # a machine is minimized exactly when its states fill distinct blocks
-    block_of = moore_blocks(*disjoint_union(a, b)).block_of
+    # one Moore partition and one peel of both machines: equal languages share
+    # a block, so a machine is minimized exactly when its states fill distinct
+    # blocks
+    table = _TableAnalysis(*disjoint_union(a, b))
+    block_of = table.blocks.block_of
     n = a.n_states
     if len(set(block_of[:n])) != n:
         raise ValueError("left automaton is not minimized")
     if len(set(block_of[n:])) != b.n_states:
         raise ValueError("right automaton is not minimized")
-    inf_a = sorted(compute_parts(a).infinite)
-    inf_b = compute_parts(b).infinite
-    if len(inf_a) != len(inf_b):
-        return None
+    inf_a = table.part(range(n), finite=False)
+    inf_b = table.part(range(n, len(block_of)), finite=False)
+    # a block holds at most one state of each machine, so the map is one-to-one
     partner_in_block = {block_of[n + r]: r for r in inf_b}
-    mapping = []
-    for q in inf_a:
-        partner = partner_in_block.get(block_of[q])
-        if partner is None:
-            return None
-        mapping.append((q, partner))
-    if len({t for _, t in mapping}) != len(inf_b):
+    mapping = tuple((q, partner_in_block.get(block_of[q])) for q in inf_a)
+    if len(inf_a) != len(inf_b) or any(r is None for _, r in mapping):
         return None
-    return StateBijection(INFINITE_PART, tuple(mapping))
+    return StateBijection(INFINITE_PART, mapping)
 
 
 def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
@@ -103,33 +97,37 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     condition (acceptance is deliberately unconstrained) is verified and a
     failure raises, as the hypotheses make it impossible.
     """
-    ok_a, _ = is_f_minimal(a)
-    if not ok_a:
-        raise ValueError("left automaton is not f-minimal")
-    ok_b, _ = is_f_minimal(b)
-    if not ok_b:
-        raise ValueError("right automaton is not f-minimal")
-    # the union classes answer the precondition too: L(a) ~ L(b) iff the two
-    # start states share a class
-    class_of = finite_difference_classes(*disjoint_union(a, b))
+    try:
+        table = _TableAnalysis(*disjoint_union(a, b))
+    except AlphabetMismatchError:
+        # the f-minimality checks come first, as they would on one alphabet
+        for d, side in ((a, "left"), (b, "right")):
+            if not is_f_minimal(d)[0]:
+                raise ValueError(f"{side} automaton is not f-minimal") from None
+        raise
+    # one Moore partition, one peel and one ~ pass of the union answer both
+    # f-minimality checks, the precondition (L(a) ~ L(b) iff the two start
+    # states share a class) and the matching
     n = a.n_states
+    left, right = range(n), range(n, n + b.n_states)
+    for side, states in (("left", left), ("right", right)):
+        if _mergeable_pair(table, states) is not None:
+            raise ValueError(f"{side} automaton is not f-minimal")
+    class_of = table.class_of
     if class_of[a.start] != class_of[n + b.start]:
         raise ValueError("automata are not finitely different")
-    fin_a = sorted(compute_parts(a).finite)
-    fin_b = sorted(compute_parts(b).finite)
+    fin_a = table.part(left, finite=True)
+    fin_b = table.part(right, finite=True)
     if len(fin_a) != len(fin_b):
         raise AssertionError("finite parts have different sizes; this is a bug")
-    fin_b_by_class: dict[int, list[int]] = {}
-    for r in fin_b:
-        fin_b_by_class.setdefault(class_of[n + r], []).append(r)
+    # b is f-minimal, so a class holds at most one of its finite-part states
+    partner_in_class = {class_of[n + r]: r for r in fin_b}
     mapping = []
     for p in fin_a:
-        partners = fin_b_by_class.get(class_of[p], [])
-        if len(partners) != 1:
+        if class_of[p] not in partner_in_class:
             raise AssertionError(
-                f"state {p} has {len(partners)} class partners, expected exactly one; this is a bug"
-            )
-        mapping.append((p, partners[0]))
+                f"state {p} has 0 class partners, expected exactly one; this is a bug")
+        mapping.append((p, partner_in_class[class_of[p]]))
     bij = StateBijection(FINITE_PART, tuple(mapping))
     ok, reason = verify_bijection(a, b, bij)
     if not ok:

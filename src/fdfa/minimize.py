@@ -1,10 +1,10 @@
-"""Classical DFA minimization (Moore partition refinement) and distinguishing words."""
+"""Classical DFA minimization (Moore partition refinement)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, _lex_symbol_order, induce, product_xor, shortest_word_to
+from .core import Dfa, _lex_symbol_order
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,3 @@ def minimize(d: Dfa) -> Dfa:
 
 def is_minimized(d: Dfa) -> bool:
     return moore_blocks(d.delta, d.accepting).n_blocks == d.n_states
-
-
-def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
-    """Shortlex-least word accepted from exactly one of ``p`` and ``q``.
-
-    Returns None when the two states have equal languages.  A breadth-first
-    search of the xor product that tries symbols in character order meets
-    the shortlex-least accepting pair first.
-    """
-    prod = product_xor(induce(d, p), induce(d, q)).dfa
-    return shortest_word_to(prod, prod.start, prod.accepting)

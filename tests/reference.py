@@ -19,7 +19,9 @@ the word count by a depth-first search from the start
 and the finite word list
 as one (state, word) pair per prefix instead of one byte block of fixed-width
 records per (state, length) pair.  ``signature_equal``, a verdict only the tests ask
-for, lives here as well, and so does the per-pair witness check of ~
+for, lives here as well, with the cross-machine ``class_matching`` it reads,
+and so do ``distinguishing_word`` (one xor product per pair of states) and
+the per-pair witness check of ~
 (``states_finitely_different``, ``cross_finitely_different`` and
 ``dfas_finitely_different``): one xor product per pair, against which the
 tests compare the ~ engine.  ``iso_from_representatives`` checks its own
@@ -38,7 +40,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from fdfa.classes import class_matching, state_class_partition
+from fdfa.classes import finite_difference_classes, state_class_partition
 from fdfa.core import (
     AlphabetMismatchError,
     Dfa,
@@ -46,6 +48,7 @@ from fdfa.core import (
     _forward_closure,
     _lex_symbol_order,
     check_alphabet,
+    disjoint_union,
     induce,
     product_xor,
     reachable_states,
@@ -207,6 +210,31 @@ def list_words_by_prefixes(d: Dfa, useful, targets) -> list[Word]:
                     nxt.append((t, word + sym))
         level = nxt
     return out
+
+
+def class_matching(a: Dfa, b: Dfa) -> dict[int, int] | None:
+    """Bijection a-class-id -> b-class-id induced by ~ across machines, or None."""
+    class_of = finite_difference_classes(*disjoint_union(a, b))
+    n = a.n_states
+    # in the union, a class holding a state of a is named by its smallest a-state
+    a_ids = set(class_of[:n])
+    b_id: dict[int, int] = {}
+    for q in b.states:
+        b_id.setdefault(class_of[n + q], q)
+    if a_ids != b_id.keys():
+        return None
+    return {cid: b_id[cid] for cid in sorted(a_ids)}
+
+
+def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
+    """Shortlex-least word accepted from exactly one of ``p`` and ``q``.
+
+    Returns None when the two states have equal languages.  A breadth-first
+    search of the xor product that tries symbols in character order meets
+    the shortlex-least accepting pair first.
+    """
+    prod = product_xor(induce(d, p), induce(d, q)).dfa
+    return shortest_word_to(prod, prod.start, prod.accepting)
 
 
 def signature_equal(a: Dfa, b: Dfa) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa.classes import class_matching, finite_difference_classes, state_class_partition
+from fdfa.classes import finite_difference_classes, state_class_partition
 from fdfa.core import AlphabetMismatchError, Dfa, disjoint_union, induce
 from fdfa.iso import infinite_part_iso
 from fdfa.language import languages_equal, symmetric_difference
@@ -16,6 +16,7 @@ from fdfa.rand import random_dfa
 import machines as fixtures
 from conftest import acyclic_prefix_table, dfas, sigma_upto, trie_on_kernel
 from reference import (
+    class_matching,
     cross_finitely_different,
     dfas_finitely_different,
     finite_difference_classes_by_pair_graph,

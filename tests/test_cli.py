@@ -139,6 +139,48 @@ def test_iso_hypothesis_failure_is_usage_error():
     assert "not f-minimal" in r.stderr
 
 
+FIXTURE_NAMES = ("all", "empty", "even", "odd", "onezstar", "sigplus", "zstar")
+
+# `fdfa iso` on every ordered pair of fixtures, as (exit code, stdout, stderr).
+# A pair not listed here prints NOT-ISOMORPHIC under --part infinite, and
+# fails with "automata are not finitely different" under --part finite.
+ISO_OUTPUTS = {
+    ("infinite", "all", "all"): (0, "0 -> 0\n", ""),
+    ("infinite", "all", "sigplus"): (0, "0 -> 1\n", ""),
+    ("infinite", "empty", "empty"): (0, "0 -> 0\n", ""),
+    ("infinite", "even", "even"): (0, "0 -> 0\n1 -> 1\n", ""),
+    ("infinite", "even", "odd"): (0, "0 -> 1\n1 -> 0\n", ""),
+    ("infinite", "odd", "even"): (0, "0 -> 1\n1 -> 0\n", ""),
+    ("infinite", "odd", "odd"): (0, "0 -> 0\n1 -> 1\n", ""),
+    ("infinite", "onezstar", "onezstar"): (0, "1 -> 1\n2 -> 2\n", ""),
+    ("infinite", "onezstar", "zstar"): (0, "1 -> 0\n2 -> 1\n", ""),
+    ("infinite", "sigplus", "all"): (0, "1 -> 0\n", ""),
+    ("infinite", "sigplus", "sigplus"): (0, "1 -> 1\n", ""),
+    ("infinite", "zstar", "onezstar"): (0, "0 -> 1\n1 -> 2\n", ""),
+    ("infinite", "zstar", "zstar"): (0, "0 -> 0\n1 -> 1\n", ""),
+    ("finite", "all", "all"): (0, "", ""),
+    ("finite", "empty", "empty"): (0, "", ""),
+    ("finite", "even", "even"): (0, "", ""),
+    ("finite", "odd", "odd"): (0, "", ""),
+    ("finite", "onezstar", "onezstar"): (0, "0 -> 0\n", ""),
+    ("finite", "zstar", "zstar"): (0, "", ""),
+    **{("finite", "sigplus", name): (2, "", "fdfa: error: left automaton is not f-minimal\n")
+       for name in FIXTURE_NAMES},
+    **{("finite", name, "sigplus"): (2, "", "fdfa: error: right automaton is not f-minimal\n")
+       for name in FIXTURE_NAMES if name != "sigplus"},
+}
+
+
+@pytest.mark.parametrize("part", ["infinite", "finite"])
+@pytest.mark.parametrize("left", FIXTURE_NAMES)
+@pytest.mark.parametrize("right", FIXTURE_NAMES)
+def test_iso_output_on_every_pair_of_fixtures(part, left, right, capsys):
+    default = ((1, "NOT-ISOMORPHIC\n", "") if part == "infinite"
+               else (2, "", "fdfa: error: automata are not finitely different\n"))
+    code, out, err, _ = run_main(["iso", "--part", part, fix(left), fix(right)], capsys)
+    assert (code, out, err) == ISO_OUTPUTS.get((part, left, right), default)
+
+
 def test_construct_round_trip(tmp_path):
     words = tmp_path / "w.txt"
     words.write_text("@\n0\n11\n")

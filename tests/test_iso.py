@@ -1,7 +1,8 @@
 import pytest
 
+import fdfa.core
 from fdfa.core import AlphabetMismatchError, Dfa
-from fdfa.fmin import f_minimize, flip_finite_acceptance
+from fdfa.fmin import f_minimize, flip_finite_acceptance, is_f_minimal
 from fdfa.iso import (
     FINITE_PART,
     INFINITE_PART,
@@ -89,6 +90,15 @@ def test_verify_bijection_spots_broken_transitions():
     assert verify_bijection(zero, zero, right) == (True, None)
 
 
+def test_verify_bijection_checks_the_alphabets():
+    table = ((0, 0),)
+    bij = StateBijection(INFINITE_PART, ((0, 0),))
+    for a, b in [(Dfa("01", 0, {0}, table), Dfa("ab", 0, {0}, table)),
+                 (Dfa("012", 0, {0}, ((0, 0, 0),)), Dfa("01", 0, {0}, table))]:
+        with pytest.raises(AlphabetMismatchError, match="alphabets differ: "):
+            verify_bijection(a, b, bij)
+
+
 def test_verify_bijection_rejects_malformed_domain():
     bij = StateBijection(INFINITE_PART, ((0, 1),))
     with pytest.raises(ValueError, match="domain"):
@@ -169,3 +179,31 @@ def test_part_isos_raise_the_alphabet_mismatch_error():
     for iso in (infinite_part_iso, finite_part_iso):
         with pytest.raises(AlphabetMismatchError, match="alphabets differ"):
             iso(fixtures.all_words(), other)
+
+
+def f_minimal_chain():
+    """Σ^{≤5} ∪ Σ^5·1·0*: six finite-part states, no two of them finitely different."""
+    delta = tuple((q + 1, q + 1) for q in range(5)) + ((7, 6), (6, 7), (7, 7))
+    return Dfa("01", 0, frozenset(range(7)), delta)
+
+
+def test_finite_part_iso_analyses_the_union_once(monkeypatch):
+    d = f_minimal_chain()
+    assert is_f_minimal(d) == (True, None)
+    flipped = flip_finite_acceptance(d, {1, 3, 5})
+    blocks = count_calls(monkeypatch, moore_blocks)
+    peels = count_calls(monkeypatch, fdfa.core._peel)
+    assert finite_part_iso(d, flipped).mapping == tuple((q, q) for q in range(6))
+    # one refinement and one peel of the union; verify_bijection peels once more
+    assert len(blocks) == 1
+    assert len(peels) <= 2
+
+
+def test_infinite_part_iso_analyses_the_union_once(monkeypatch):
+    d = f_minimal_chain()
+    flipped = flip_finite_acceptance(d, {1, 3, 5})
+    blocks = count_calls(monkeypatch, moore_blocks)
+    peels = count_calls(monkeypatch, fdfa.core._peel)
+    assert infinite_part_iso(d, flipped).mapping == ((6, 6), (7, 7))
+    assert len(blocks) == 1
+    assert len(peels) == 1

@@ -4,7 +4,6 @@ from hypothesis import given
 from fdfa.core import Dfa, induce
 from fdfa.language import languages_equal
 from fdfa.minimize import (
-    distinguishing_word,
     is_minimized,
     minimize,
     minimize_with_map,
@@ -14,7 +13,7 @@ from fdfa.minimize import (
 import machines as fixtures
 from conftest import dfas, raw_tables, structured_machines
 from oracle import oracle_diff
-from reference import moore_blocks_by_states
+from reference import distinguishing_word, moore_blocks_by_states
 
 
 def test_minimize_collapses_equivalent_states():

@@ -188,7 +188,8 @@ def _cmd_random(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``fdfa`` parser and each command's subparser, by command name."""
     parser = argparse.ArgumentParser(
         prog="fdfa",
         description="Analyze DFAs whose languages differ by finitely many words.",
@@ -252,17 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_random)
 
-    return parser
+    return parser, dict(sub.choices)
 
 
-# parse_args fills a fresh namespace on every call, so one parser serves
-# every request of a process
-_PARSER = build_parser()
+# parsing fills a fresh namespace on every call, so one parser serves every
+# request of a process
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        # no command: usage, help or an unknown-command error
+        return _PARSER.parse_args(argv)
+    # the command's own parser, with the leftover words reported as the
+    # top-level parser reports them
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

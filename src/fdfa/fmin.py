@@ -17,7 +17,7 @@ from .core import Dfa, _forward_closure, _trim, _xor_rows, induce, states_reachi
 from .classes import _partition_of, _TableAnalysis
 from .language import _count_words, symmetric_difference
 from .minimize import StatePartition, is_minimized, minimize
-from .parts import compute_parts, words_reaching
+from .parts import words_reaching
 
 
 class FMergeError(ValueError):
@@ -116,7 +116,7 @@ class MergeRecord:
                                     induce(self.before, self.target)).words
 
 
-def _pick_merge(finite, infinite, class_of, members, reverse: bool) -> tuple[int, int] | None:
+def _pick_merge(finite, class_of, members, reverse: bool) -> tuple[int, int] | None:
     candidates = [p for p in finite if len(members[class_of[p]]) > 1]
     if not candidates:
         return None
@@ -125,7 +125,9 @@ def _pick_merge(finite, infinite, class_of, members, reverse: bool) -> tuple[int
     # merge cannot orphan the remaining candidates via trimming
     p = max(candidates) if not reverse else min(candidates)
     mates = [s for s in members[class_of[p]] if s != p]
-    infinite_mates = [s for s in mates if s in infinite]
+    # members hold live states only, and a live state outside ``finite`` is
+    # in the infinite part
+    infinite_mates = [s for s in mates if s not in finite]
     pool = infinite_mates or mates
     q = min(pool) if not reverse else max(pool)
     return p, q
@@ -137,12 +139,15 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     ``order`` is "canonical" or "reversed"; both reach a smallest machine in the
     class, the trace merely differs.
 
-    The parts and ~ classes are computed once, on the minimized machine, and
-    carried through the merges, which leave both unchanged on the surviving
-    states (Holzer & Maletti, TCS 2010, Alg. 3): a merge changes the language
-    of only the finite-part ancestors of the merged state, and by finitely
-    many words; it closes no cycle; and the states it cuts off are finite-part
-    states that were reachable through the merged state alone.  The merges
+    The finite part (one peel) and ~ classes are computed once, on the
+    minimized machine; with no finite part, or no finite-part state with a
+    classmate, it is returned as is, with no table or replay built.
+    Otherwise both are carried through the merges, which leave both unchanged
+    on the surviving states (Holzer & Maletti, TCS 2010, Alg. 3): a merge
+    changes the language of only the finite-part ancestors of the merged
+    state, and by finitely many words; it closes no cycle; and the states it
+    cuts off are finite-part states that were reachable through the merged
+    state alone.  The merges
     run on one table in the minimized machine's ids.  Redirection and
     trimming keep id order, so a state's id in the machine current at a merge
     is its rank among the surviving ids.  Each record counts X and Z by paths
@@ -154,13 +159,19 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     reverse = order == "reversed"
     m0 = minimize(d)
     n = m0.n_states
-    parts = compute_parts(m0)
-    finite = set(parts.finite)
     table = _TableAnalysis(m0.delta, m0.accepting)
+    finite = set(table.finite)
+    # a merge deletes a finite-part state that has a classmate, so without
+    # one m0 is already f-minimal
+    if not finite:
+        return _checked(m0), ()
     table.blocks = StatePartition(tuple(range(n)), n)  # m0 is minimized: no refinement
     classes = _partition_of(table.class_of)
     class_of = classes.class_of
     members = {cls[0]: list(cls) for cls in classes.classes}
+    picked = _pick_merge(finite, class_of, members, reverse)
+    if picked is None:
+        return _checked(m0), ()
     rows = [list(row) for row in m0.delta]
     accepting = m0.accepting
     start = m0.start
@@ -171,10 +182,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
             preds[t].add(s)
     trace: list[MergeRecord] = []
     replay = _Replay(m0, trace)
-    while True:
-        picked = _pick_merge(finite, parts.infinite, class_of, members, reverse)
-        if picked is None:
-            break
+    while picked is not None:
         p, q = picked
         _, pair_rows, differ = _xor_rows(rows, accepting, rows, accepting, (p, q))
         trace.append(
@@ -207,10 +215,15 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
                 preds[t].discard(x)
                 if not preds[t] and t != start:
                     dropped.append(t)
+        picked = _pick_merge(finite, class_of, members, reverse)
     m, _ = _trim(m0.alphabet, start, accepting, rows)
+    return _checked(m), tuple(trace)
+
+
+def _checked(m: Dfa) -> Dfa:
     if not is_minimized(m):
         raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
-    return m, tuple(trace)
+    return m
 
 
 def is_f_minimal(d: Dfa) -> tuple[bool, tuple[int, int] | None]:

@@ -30,7 +30,11 @@ def verify_bijection(a: Dfa, b: Dfa, bij: StateBijection) -> tuple[bool, str | N
     repeated source/target) raises instead of returning false, and so do
     machines over different alphabets.
     """
-    table = _TableAnalysis(*disjoint_union(a, b))
+    return _verify(_TableAnalysis(*disjoint_union(a, b)), a, b, bij)
+
+
+def _verify(table: _TableAnalysis, a: Dfa, b: Dfa, bij: StateBijection) -> tuple[bool, str | None]:
+    # verify_bijection on ``table``, the analysis of ``disjoint_union(a, b)``
     if bij.part not in (INFINITE_PART, FINITE_PART):
         raise ValueError(f"unknown part tag {bij.part!r}")
     n = a.n_states
@@ -107,7 +111,7 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
         raise
     # one Moore partition, one peel and one ~ pass of the union answer both
     # f-minimality checks, the precondition (L(a) ~ L(b) iff the two start
-    # states share a class) and the matching
+    # states share a class), the matching and its verification
     n = a.n_states
     left, right = range(n), range(n, n + b.n_states)
     for side, states in (("left", left), ("right", right)):
@@ -129,7 +133,7 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
                 f"state {p} has 0 class partners, expected exactly one; this is a bug")
         mapping.append((p, partner_in_class[class_of[p]]))
     bij = StateBijection(FINITE_PART, tuple(mapping))
-    ok, reason = verify_bijection(a, b, bij)
+    ok, reason = _verify(table, a, b, bij)
     if not ok:
         raise AssertionError(f"finite-part map fails verification ({reason}); this is a bug")
     return bij

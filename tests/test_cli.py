@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdfa import formats
+from fdfa import cli, formats
 from fdfa.cli import main
 from fdfa.formats import serialize_dfa
 
@@ -309,6 +309,61 @@ def test_main_leaks_no_option_into_the_next_call(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "incomplete transition table" in captured.err
+
+
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate", "a"],
+    ["--", "findiff", "a", "b"],
+    ["findiff", "Z"],
+    ["findiff", "Z", "O"],
+    ["findiff", "Z", "O", "extra"],
+    ["findiff", "-h"],
+    ["findiff", "--", "Z", "O"],
+    ["iso", "Z", "O", "--part", "oracle"],
+    ["iso", "Z", "O", "--part=infinite", "extra"],
+    ["iso", "Z", "O", "--pa", "infinite"],
+    ["iso", "Z", "O"],
+    ["check", "--comp", "Z", "-o"],
+    ["check", "Z", "-o", "out.dfa", "--complete"],
+    ["minimize", "-oout", "a", "b"],
+    ["random", "--states", "x"],
+    ["random", "--states", "3", "--alphabet", "01", "--seed", "1", "--sed", "2"],
+    ["construct", "-h"],
+    ["fminimize", "Z", "--trace", "--bogus"],
+    ["fminimize", "--trace", "O"],
+    ["parts", "O", "-x", "y"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_a_command_is_parsed_as_the_two_level_parse_did(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [{"Z": fix("zstar"), "O": fix("onezstar")}.get(a, a) for a in argv]
+    top_level = []
+    parse_known_args = cli._PARSER.parse_known_args
+
+    def counted(*args, **kwargs):
+        top_level.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    def run():
+        """Exit code, stdout, stderr and the bytes of each file written."""
+        for name in ("out.dfa", "out"):
+            Path(name).unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = [Path(name).read_bytes() for name in ("out.dfa", "out") if Path(name).exists()]
+        return code, captured.out, captured.err, files
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", counted)
+    got = run()
+    assert len(top_level) == (0 if argv and argv[0] in cli._COMMANDS else 1)
+    # with no command known by name, every argv goes through the top-level parser
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    assert got == run()
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import fdfa.classes
+import fdfa.core
 from fdfa.classes import state_class_partition
 from fdfa.core import Dfa
 from fdfa.fmin import (
@@ -14,8 +17,9 @@ from fdfa.fmin import (
     is_f_minimal,
     redirect_boundary_transition,
 )
+from fdfa.formats import parse_dfa
 from fdfa.language import symmetric_difference
-from fdfa.minimize import is_minimized, moore_blocks
+from fdfa.minimize import is_minimized, minimize, moore_blocks
 from fdfa.parts import compute_parts
 
 import machines as fixtures
@@ -26,6 +30,8 @@ from reference import (
     merge_by_renumbering,
     states_finitely_different,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def zero_machine():
@@ -248,12 +254,49 @@ def test_f_minimize_matches_the_recomputation(d):
 def test_f_minimize_analyses_the_minimized_machine_once(monkeypatch):
     blocks = count_calls(monkeypatch, moore_blocks)
     parts = count_calls(monkeypatch, compute_parts)
+    peels = count_calls(monkeypatch, fdfa.core._peel)
     out, records = f_minimize(sigma_upto(400))
     assert out.n_states == 1
     assert len(records) == 401
     # one refinement in minimize and one in the closing is_minimized check
     assert len(blocks) == 2
-    assert len(parts) == 1
+    # the finite part comes off one peel of the whole minimized table; every
+    # other peel orders the states one record counts paths over
+    assert sum(len(states) == 402 for _, states in peels) == 1
+    assert parts == []
+
+
+def load_fixture(name):
+    return parse_dfa((FIXTURES / f"{name}.dfa").read_text())
+
+
+def test_f_minimize_with_no_finite_part_stops_after_minimizing(monkeypatch):
+    d = load_fixture("zstar")
+    expected = (minimize(d), ())
+    blocks = count_calls(monkeypatch, moore_blocks)
+    peels = count_calls(monkeypatch, fdfa.core._peel)
+    partitions = count_calls(monkeypatch, fdfa.classes._partition_of)
+    assert f_minimize(d) == expected
+    # one refinement in minimize and one in the closing is_minimized check
+    assert len(blocks) == 2
+    assert len(peels) == 1
+    assert partitions == []
+
+
+def test_f_minimize_with_no_classmate_stops_after_one_pick(monkeypatch):
+    d = load_fixture("onezstar")
+    expected = (minimize(d), ())
+    partitions = count_calls(monkeypatch, fdfa.classes._partition_of)
+    products = count_calls(monkeypatch, fdfa.core._xor_rows)
+    trims = count_calls(monkeypatch, fdfa.core._trim)
+    blocks = count_calls(monkeypatch, moore_blocks)
+    # state 0 is the whole finite part, and no other state is ~ to it
+    assert f_minimize(d) == expected
+    assert len(partitions) == 1
+    # no record is counted and no merged table trimmed
+    assert products == trims == []
+    # one refinement in minimize and one in the closing is_minimized check
+    assert len(blocks) == 2
 
 
 def test_f_minimize_stays_within_its_memory_bound():

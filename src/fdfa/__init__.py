@@ -9,7 +9,7 @@ machine pairs realizing any chosen finite difference.
 """
 
 from .classes import StateClassPartition, state_class_partition
-from .construct import ConstructionSpec, construct_pair
+from .construct import construct_pair
 from .core import (
     AlphabetMismatchError,
     Dfa,
@@ -32,10 +32,8 @@ from .formats import (
     TrimWarning,
     format_word,
     parse_dfa,
-    parse_word,
     parse_word_list,
     serialize_dfa,
-    serialize_word_list,
 )
 from .iso import (
     StateBijection,
@@ -48,10 +46,8 @@ from .language import (
     FINITE,
     INFINITE,
     Classification,
-    InfiniteLanguageError,
     Lasso,
     classify_language,
-    enumerate_finite_language,
     languages_equal,
     symmetric_difference,
 )
@@ -64,14 +60,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetMismatchError",
     "Classification",
-    "ConstructionSpec",
     "Dfa",
     "DfaFormatError",
     "EMPTY",
     "FINITE",
     "FMergeError",
     "INFINITE",
-    "InfiniteLanguageError",
     "Lasso",
     "MergeRecord",
     "PartsPartition",
@@ -82,7 +76,6 @@ __all__ = [
     "classify_language",
     "compute_parts",
     "construct_pair",
-    "enumerate_finite_language",
     "f_merge",
     "f_minimize",
     "finite_part_iso",
@@ -95,13 +88,11 @@ __all__ = [
     "minimize",
     "minimize_with_map",
     "parse_dfa",
-    "parse_word",
     "parse_word_list",
     "product_xor",
     "random_dfa",
     "redirect_boundary_transition",
     "serialize_dfa",
-    "serialize_word_list",
     "shortest_cycle_word",
     "shortest_word_to",
     "state_class_partition",

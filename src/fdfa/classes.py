@@ -22,13 +22,6 @@ class StateClassPartition:
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _by_id(self) -> dict[int, tuple[int, ...]]:
-        return {cls[0]: cls for cls in self.classes}
-
-    def members(self, class_id: int) -> tuple[int, ...]:
-        return self._by_id[class_id]
-
 
 class _TableAnalysis:
     """The Moore blocks, finite part and ~ classes of one raw table, each

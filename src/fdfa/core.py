@@ -234,12 +234,6 @@ class Dfa:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet {self.alphabet!r}") from None
 
-    def is_accepting(self, q: int) -> bool:
-        return q in self.accepting
-
-    def step(self, q: int, symbol: str) -> int:
-        return self.delta[q][self.symbol_index(symbol)]
-
     def run(self, word: Word, start: int | None = None) -> int:
         """State reached from ``start`` (default: the start state) after reading ``word``."""
         q = self.start if start is None else start
@@ -303,9 +297,6 @@ class ProductDfa:
 
     dfa: Dfa
     pairs: tuple[tuple[int, int], ...]
-
-    def pair_of(self, q: int) -> tuple[int, int]:
-        return self.pairs[q]
 
 
 def product_xor(a: Dfa, b: Dfa) -> ProductDfa:

@@ -372,7 +372,3 @@ def _read_words(text: str, alphabet: str | None) -> list[Word]:
             except ValueError as exc:
                 raise DfaFormatError(str(exc), line_no) from None
     return [word for _, word in numbered]
-
-
-def serialize_word_list(words) -> str:
-    return "".join(format_word(w) + "\n" for w in words)

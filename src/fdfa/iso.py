@@ -19,9 +19,6 @@ class StateBijection:
     part: str  # INFINITE_PART or FINITE_PART
     mapping: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
 
 def verify_bijection(a: Dfa, b: Dfa, bij: StateBijection) -> tuple[bool, str | None]:
     """Check the part-isomorphism conditions; returns (ok, first broken condition).
@@ -47,7 +44,7 @@ def _verify(table: _TableAnalysis, a: Dfa, b: Dfa, bij: StateBijection) -> tuple
         raise ValueError(f"domain is not exactly the {bij.part} part of the left automaton")
     if len(set(targets)) != len(targets) or set(targets) != rng_expect:
         raise ValueError(f"range is not exactly the {bij.part} part of the right automaton")
-    fmap = bij.as_dict()
+    fmap = dict(bij.mapping)
     if bij.part == INFINITE_PART:
         for q in sorted(fmap):
             if (q in a.accepting) != (fmap[q] in b.accepting):

@@ -22,10 +22,6 @@ FINITE = "finite"
 INFINITE = "infinite"
 
 
-def shortlex_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
-
-
 @dataclass(frozen=True)
 class Lasso:
     """Witness of an infinite language: ``prefix . pump^k . suffix`` is accepted for every k."""
@@ -96,16 +92,6 @@ class Classification:
         return _count_words(d.delta, d.start, self._useful, d.accepting)
 
 
-class InfiniteLanguageError(ValueError):
-    """Enumeration was asked for an infinite language; carries the lasso witness."""
-
-    def __init__(self, witness: Lasso):
-        self.witness = witness
-        super().__init__(
-            f"language is infinite: accepts {witness.prefix!r} ({witness.pump!r})* {witness.suffix!r}"
-        )
-
-
 def useful_states(d: Dfa) -> set[int]:
     """States from which some accepting state is reachable."""
     if not d.accepting:
@@ -128,14 +114,6 @@ def classify_language(d: Dfa) -> Classification:
     else:
         kind = INFINITE
     return Classification(kind, d)
-
-
-def enumerate_finite_language(d: Dfa) -> list[Word]:
-    """All accepted words, shortlex-sorted.  Raises InfiniteLanguageError otherwise."""
-    cls = classify_language(d)
-    if cls.kind == INFINITE:
-        raise InfiniteLanguageError(cls.witness)
-    return list(cls.words)
 
 
 def _list_text(d: Dfa, useful, targets) -> str:

@@ -35,8 +35,9 @@ def words_reaching(d: Dfa, q: int) -> list[Word]:
     """
     if q not in d.states:
         raise ValueError(f"state {q} out of range")
-    parts = compute_parts(d)
-    if q in parts.infinite:
+    # q is in the infinite part exactly when a cycle reaches it, and such a
+    # cycle lies among the states that reach q, so peeling them alone decides
+    reaching = states_reaching(d.delta, {q})
+    if len(_peel(d.delta, reaching)) != len(reaching):
         raise ValueError(f"state {q} is in the infinite part; infinitely many words reach it")
-    # every state that can reach q is in the finite part, which is acyclic
-    return _list_text(d, states_reaching(d.delta, {q}), {q}).split("\n")[:-1]
+    return _list_text(d, reaching, {q}).split("\n")[:-1]

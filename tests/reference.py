@@ -33,6 +33,9 @@ renumbers the rest before trimming, instead of redirecting the edges into it
 and letting one trim drop it.
 ``random_dfa_by_lcg`` draws each random machine through the method calls of
 an ``Lcg`` object instead of one local-variable loop per batch of draws.
+``construct_pair_by_prefixes`` numbers the construction's states through a
+list of prefix strings and a dict from prefix to rank instead of by rank
+arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from fdfa.core import (
     _forward_closure,
     _lex_symbol_order,
     check_alphabet,
+    check_word,
     disjoint_union,
     induce,
     product_xor,
@@ -507,13 +511,14 @@ def merge_by_renumbering(d: Dfa, p: int, q: int) -> Dfa:
 def _pick_merge(parts, classes, reverse: bool) -> tuple[int, int] | None:
     finite = parts.finite
     infinite = parts.infinite
+    members = {cls[0]: cls for cls in classes.classes}
     candidates = [
-        p for p in finite if len(classes.members(classes.class_of[p])) > 1
+        p for p in finite if len(members[classes.class_of[p]]) > 1
     ]
     if not candidates:
         return None
     p = max(candidates) if not reverse else min(candidates)
-    mates = [s for s in classes.members(classes.class_of[p]) if s != p]
+    mates = [s for s in members[classes.class_of[p]] if s != p]
     infinite_mates = [s for s in mates if s in infinite]
     pool = infinite_mates or mates
     q = min(pool) if not reverse else max(pool)
@@ -591,3 +596,41 @@ def random_dfa_by_lcg(n_states: int, alphabet: str, seed: int) -> Dfa:
         accepting = frozenset(q for q in range(n_states) if rng.below(2) == 1)
         if len(reachable_states(delta, start)) == n_states:
             return Dfa(alphabet, start, accepting, delta)
+
+
+def construct_pair_by_prefixes(words, alphabet: str) -> tuple[Dfa, Dfa]:
+    """``construct_pair``: the prefixes of length <= depth listed level by level,
+    each (prefix, copy) pair numbered 2 * rank + copy through a dict."""
+    check_alphabet(alphabet)
+    if len(alphabet) < 2:
+        raise ValueError("the construction needs at least two symbols")
+    cleaned = sorted(set(words), key=lambda w: (len(w), w))
+    for w in cleaned:
+        check_word(w, alphabet)
+    depth = max((len(w) for w in cleaned), default=0)
+    prefixes: list[Word] = [""]
+    level = [""]
+    for _ in range(depth):
+        level = [w + sym for w in level for sym in alphabet]
+        prefixes.extend(level)
+    rank = {w: i for i, w in enumerate(prefixes)}
+
+    def state_id(word: Word, copy: int) -> int:
+        return 2 * rank[word] + copy
+
+    delta: list[tuple[int, ...]] = [()] * (2 * len(prefixes))
+    for w in prefixes:
+        for copy in (0, 1):
+            row = []
+            for sym in alphabet:
+                grown = w + sym
+                if len(grown) <= depth:
+                    row.append(state_id(grown, copy))
+                else:
+                    # wrap to copy 0 iff the grown word starts with the first symbol
+                    row.append(state_id("", 0 if grown[0] == alphabet[0] else 1))
+            delta[state_id(w, copy)] = tuple(row)
+    member = set(cleaned)
+    accepting = frozenset(state_id(w, 1) for w in prefixes if w in member)
+    return (Dfa(alphabet, state_id("", 0), accepting, tuple(delta)),
+            Dfa(alphabet, state_id("", 1), accepting, tuple(delta)))

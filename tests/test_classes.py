@@ -99,7 +99,7 @@ def test_states_of_a_finite_language_machine_form_one_class():
     part = state_class_partition(zero)
     assert part.classes == ((0, 1, 2),)
     assert part.class_of == (0, 0, 0)
-    assert part.members(0) == (0, 1, 2)
+    assert part.classes[0] == (0, 1, 2)
 
 
 def test_onezstar_classes_are_singletons():

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdfa.construct import ConstructionSpec, construct_pair
+from fdfa.construct import construct_pair
+from fdfa.formats import serialize_dfa
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
 from fdfa.parts import compute_parts
 
-from reference import dfas_finitely_different
+from reference import construct_pair_by_prefixes, dfas_finitely_different
 
 
 def test_pair_for_epsilon():
@@ -68,15 +69,22 @@ def test_starts_are_the_two_copies_of_the_root():
 
 
 def test_spec_normalizes_word_order_and_duplicates():
-    spec = ConstructionSpec.for_words(["11", "0", "0"], "01")
-    assert spec.words == ("0", "11")
-    assert spec.depth == 2
+    expected = construct_pair(["0", "11"], "01")
+    assert construct_pair(["11", "0", "0"], "01") == expected
+    assert construct_pair(iter(["11", "11", "0"]), "01") == expected
+    # depth 2: 7 prefixes x 2 copies
+    assert expected[0].n_states == 14
 
 
 def test_wrap_copy_splits_on_first_symbol():
-    spec = ConstructionSpec.for_words(["0"], "01")
-    assert spec.wrap_copy("0") == 0
-    assert spec.wrap_copy("1") == 1
+    # depth 0: the root row wraps on the symbol read
+    left, right = construct_pair([""], "01")
+    assert left.delta == ((0, 1), (0, 1))
+    left, right = construct_pair([], "ba")
+    assert left.delta == ((0, 1), (0, 1))
+    # depth 1: the words "0" (states 2, 3) and "1" (states 4, 5) wrap on their first symbol
+    left, right = construct_pair(["0"], "01")
+    assert left.delta[2:] == ((0, 0), (0, 0), (1, 1), (1, 1))
 
 
 def test_construction_needs_two_symbols():
@@ -87,6 +95,35 @@ def test_construction_needs_two_symbols():
 def test_construction_rejects_foreign_symbols():
     with pytest.raises(ValueError):
         construct_pair(["2"], "01")
+
+
+def test_construction_checks_in_a_fixed_order():
+    # the shortlex-least bad word is named, neither the first given nor the
+    # first in a set's hash order
+    for words in (["2", "c"], ["c", "2"], ["zz", "9", *"cdefghijklmnop", "2"]):
+        with pytest.raises(ValueError, match="'2'"):
+            construct_pair(words, "01")
+    # the alphabet is checked before any word
+    with pytest.raises(ValueError, match="duplicate alphabet symbol"):
+        construct_pair(["2"], "00")
+    with pytest.raises(ValueError, match="at least two symbols"):
+        construct_pair(["2"], "0")
+
+
+@given(st.sampled_from(["01", "ba", "012", "cab"]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet),
+                               st.lists(st.text(alphabet=alphabet, max_size=4), max_size=6))))
+@example(("01", []))
+@example(("ba", []))
+@example(("012", []))
+@example(("cab", []))
+@settings(max_examples=200, deadline=None)
+def test_construction_matches_the_prefix_numbering(case):
+    alphabet, words = case
+    words = words + words[:2]  # duplicates
+    expected = construct_pair_by_prefixes(words, alphabet)
+    got = construct_pair(words, alphabet)
+    assert [serialize_dfa(d) for d in got] == [serialize_dfa(d) for d in expected]
 
 
 @given(st.lists(st.text(alphabet="01", max_size=3), max_size=6))

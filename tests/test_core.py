@@ -60,7 +60,7 @@ def test_run_and_accepts():
     assert not d.accepts("11")
     assert d.run("10") == 1
     assert d.run("0", start=1) == 1
-    assert d.step(0, "1") == 1
+    assert d.run("1", start=0) == 1
 
 
 def test_dfa_is_hashable():
@@ -109,7 +109,7 @@ def test_product_xor_accepts_disagreements():
     assert prod.dfa.accepts("")
     assert not prod.dfa.accepts("0")
     assert not prod.dfa.accepts("10")
-    assert prod.pair_of(prod.dfa.start) == (a.start, b.start)
+    assert prod.pairs[prod.dfa.start] == (a.start, b.start)
 
 
 def test_product_xor_rejects_mixed_alphabets():

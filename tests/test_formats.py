@@ -16,7 +16,6 @@ from fdfa.formats import (
     parse_word,
     parse_word_list,
     serialize_dfa,
-    serialize_word_list,
 )
 from fdfa.minimize import moore_blocks
 
@@ -215,7 +214,6 @@ def test_word_forms():
     assert parse_word("@") == ""
     assert parse_word("01") == "01"
     assert parse_word_list("# words\n@\n0\n\n11\n") == ["", "0", "11"]
-    assert serialize_word_list(["", "0", "11"]) == "@\n0\n11\n"
 
 
 def test_serialization_has_no_warnings_for_clean_input():

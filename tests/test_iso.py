@@ -23,7 +23,7 @@ def test_infinite_part_iso_zstar_onezstar():
     assert bij is not None
     assert bij.part == INFINITE_PART
     assert bij.mapping == ((0, 1), (1, 2))
-    assert bij.as_dict() == {0: 1, 1: 2}
+    assert dict(bij.mapping) == {0: 1, 1: 2}
     ok, reason = verify_bijection(fixtures.zstar(), fixtures.onezstar(), bij)
     assert ok and reason is None
 

@@ -26,13 +26,10 @@ from fdfa.language import (
     EMPTY,
     FINITE,
     INFINITE,
-    InfiniteLanguageError,
     _count_words,
     _list_text,
     classify_language,
-    enumerate_finite_language,
     languages_equal,
-    shortlex_key,
     symmetric_difference,
     useful_states,
 )
@@ -47,8 +44,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_shortlex_orders_by_length_then_characters():
-    words = ["1", "", "01", "0", "10", "00"]
-    assert sorted(words, key=shortlex_key) == ["", "0", "1", "00", "01", "10"]
+    d = fixtures.finite_language_dfa(["1", "", "01", "0", "10", "00"])
+    assert classify_language(d).words == ("", "0", "1", "00", "01", "10")
 
 
 def test_classify_empty():
@@ -66,6 +63,7 @@ def test_classify_finite_language():
 def test_classify_infinite_gives_pumpable_witness():
     c = classify_language(fixtures.zstar())
     assert c.kind == INFINITE
+    assert c.words is None and c.text is None and c.n_words is None
     lasso = c.witness
     assert lasso.pump
     d = fixtures.zstar()
@@ -85,14 +83,8 @@ def test_classify_witness_is_sound(d):
 
 def test_enumerate_finite_language():
     d = fixtures.finite_language_dfa(["11", "0"])
-    assert enumerate_finite_language(d) == ["0", "11"]
-    assert enumerate_finite_language(fixtures.empty()) == []
-
-
-def test_enumerate_refuses_infinite_language():
-    with pytest.raises(InfiniteLanguageError) as info:
-        enumerate_finite_language(fixtures.zstar())
-    assert info.value.witness.pump
+    assert classify_language(d).words == ("0", "11")
+    assert classify_language(fixtures.empty()).words == ()
 
 
 def test_symmetric_difference_finite():
@@ -296,7 +288,7 @@ def test_count_words_matches_the_search_beyond_the_listing():
 
 def shortlex_oracle(a, b):
     # every word of a finite difference is shorter than the product's state count
-    return sorted(oracle_diff(a, b, a.n_states * b.n_states), key=shortlex_key)
+    return sorted(oracle_diff(a, b, a.n_states * b.n_states), key=lambda w: (len(w), w))
 
 
 @pytest.mark.parametrize("alphabet", ["10", "ba"])
@@ -305,7 +297,7 @@ def test_words_are_listed_in_shortlex_order_whatever_the_alphabet_order(alphabet
     empty = Dfa(alphabet, 0, frozenset(), ((0, 0),))
     words = symmetric_difference(chain, empty).words
     assert list(words) == shortlex_oracle(chain, empty)
-    assert enumerate_finite_language(chain) == list(words)
+    assert classify_language(chain).words == words
 
 
 # the oracle simulates all 2^(n·m + 1) words up to the bound, so n, m <= 3

@@ -5,8 +5,8 @@ from hypothesis import given
 
 from fdfa.cli import main
 from fdfa.construct import construct_pair
-from fdfa.core import Dfa, strongly_connected_components
-from fdfa.language import enumerate_finite_language
+from fdfa.core import Dfa, _peel, states_reaching, strongly_connected_components
+from fdfa.language import classify_language
 from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
@@ -89,12 +89,27 @@ def test_words_reaching_finite_part_state():
 def test_words_reaching_lists_the_language_accepted_at_the_state(d):
     for q in compute_parts(d).finite:
         only_q = Dfa(d.alphabet, d.start, {q}, d.delta)
-        assert words_reaching(d, q) == enumerate_finite_language(only_q)
+        assert words_reaching(d, q) == list(classify_language(only_q).words)
 
 
 def test_words_reaching_rejects_infinite_part_state():
     with pytest.raises(ValueError, match="infinite part"):
         words_reaching(fixtures.onezstar(), 1)
+
+
+def test_words_reaching_peels_only_the_states_that_reach_it(monkeypatch):
+    d = fixtures.finite_language_dfa(["0", "10"])
+    (sink,) = compute_parts(d).infinite
+    q = d.run("1")
+    parts_calls = count_calls(monkeypatch, compute_parts)
+    peels = count_calls(monkeypatch, _peel)
+    assert words_reaching(d, q) == ["1"]
+    assert parts_calls == []
+    assert len(peels) == 1 and peels[0][1] == states_reaching(d.delta, {q})
+    assert sink not in peels[0][1]
+    with pytest.raises(ValueError, match="infinite part"):
+        words_reaching(d, sink)
+    assert parts_calls == []
 
 
 class RowReads(tuple):

@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"fdfa: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("fdfa: error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -116,23 +116,6 @@ class MergeRecord:
                                     induce(self.before, self.target)).words
 
 
-def _pick_merge(finite, class_of, members, reverse: bool) -> tuple[int, int] | None:
-    candidates = [p for p in finite if len(members[class_of[p]]) > 1]
-    if not candidates:
-        return None
-    # canonical order merges the largest-id candidate first: on canonically
-    # minimized machines ids follow BFS depth, so deep states go first and a
-    # merge cannot orphan the remaining candidates via trimming
-    p = max(candidates) if not reverse else min(candidates)
-    mates = [s for s in members[class_of[p]] if s != p]
-    # members hold live states only, and a live state outside ``finite`` is
-    # in the infinite part
-    infinite_mates = [s for s in mates if s not in finite]
-    pool = infinite_mates or mates
-    q = min(pool) if not reverse else max(pool)
-    return p, q
-
-
 def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRecord, ...]]:
     """Minimize, then greedily f-merge until no finite-part state has a classmate.
 
@@ -147,12 +130,13 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     changes the language of only the finite-part ancestors of the merged
     state, and by finitely many words; it closes no cycle; and the states it
     cuts off are finite-part states that were reachable through the merged
-    state alone.  The merges
-    run on one table in the minimized machine's ids.  Redirection and
-    trimming keep id order, so a state's id in the machine current at a merge
-    is its rank among the surviving ids.  Each record counts X and Z by paths
-    on that table and lists no word, so the trace costs polynomial time
-    however large its bounds are.
+    state alone.  So the candidates are listed once, sorted, and swept in
+    order, skipping an entry that an earlier merge cut off or left with no
+    live classmate.  The merges run on one table in the minimized machine's
+    ids.  Redirection and trimming keep id order, so a state's id in the
+    machine current at a merge is its rank among the surviving ids.  Each
+    record counts X and Z by paths on that table and lists no word, so the
+    trace costs polynomial time however large its bounds are.
     """
     if order not in ("canonical", "reversed"):
         raise ValueError(f"unknown order {order!r}")
@@ -169,8 +153,13 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     classes = _partition_of(table.class_of)
     class_of = classes.class_of
     members = {cls[0]: list(cls) for cls in classes.classes}
-    picked = _pick_merge(finite, class_of, members, reverse)
-    if picked is None:
+    # a merge only drops states, so no state becomes a candidate later, and the
+    # next entry still finite and with a live classmate is the largest
+    # (smallest) candidate left.  Canonical order takes the largest id first: on
+    # canonically minimized machines ids follow BFS depth, so deep states go
+    # first and a merge cannot orphan the remaining candidates via trimming
+    sweep = sorted((p for p in finite if len(members[class_of[p]]) > 1), reverse=not reverse)
+    if not sweep:
         return _checked(m0), ()
     rows = [list(row) for row in m0.delta]
     accepting = m0.accepting
@@ -182,8 +171,14 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
             preds[t].add(s)
     trace: list[MergeRecord] = []
     replay = _Replay(m0, trace)
-    while picked is not None:
-        p, q = picked
+    for p in sweep:
+        mates = [s for s in members[class_of[p]] if s != p]
+        if p not in finite or not mates:
+            continue  # an earlier merge cut p off or left it no live classmate
+        # members hold live states only, and a live state outside ``finite`` is
+        # in the infinite part
+        pool = [s for s in mates if s not in finite] or mates
+        q = min(pool) if not reverse else max(pool)
         _, pair_rows, differ = _xor_rows(rows, accepting, rows, accepting, (p, q))
         trace.append(
             MergeRecord(
@@ -215,7 +210,6 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
                 preds[t].discard(x)
                 if not preds[t] and t != start:
                     dropped.append(t)
-        picked = _pick_merge(finite, class_of, members, reverse)
     m, _ = _trim(m0.alphabet, start, accepting, rows)
     return _checked(m), tuple(trace)
 

@@ -234,6 +234,28 @@ def test_random_rejects_a_bad_alphabet_in_one_line(alphabet, message):
     assert r.stderr == f"fdfa: error: {message}\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux enforces it")
+@pytest.mark.parametrize("command", ["construct", "random"])
+def test_running_out_of_memory_is_a_usage_error(command, tmp_path):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    if command == "construct":
+        # the pair's table grows as 2^(longest word + 1)
+        words = tmp_path / "words.txt"
+        words.write_text("0" * 24 + "\n")
+        args = ["construct", "--words", str(words), "--alphabet", "01",
+                "-o1", str(tmp_path / "a.dfa"), "-o2", str(tmp_path / "b.dfa")]
+    else:
+        args = ["random", "--states", "100000000", "--alphabet", "01", "--seed", "1"]
+    r = subprocess.run([sys.executable, "-m", "fdfa", *args], capture_output=True,
+                       text=True, preexec_fn=limit_address_space)
+    assert r.returncode == 2
+    assert r.stderr == "fdfa: error: out of memory\n"
+
+
 def test_oracle_diff_is_an_unknown_command():
     r = run_cli("oracle-diff", fix("odd"), fix("even"), "--bound", "1")
     assert r.returncode == 2

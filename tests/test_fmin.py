@@ -244,6 +244,11 @@ def test_f_minimize_matches_the_recomputation_on_generated_shapes():
     for seed in range(4):
         assert_minimizes_like_the_recomputation(trie_on_kernel(30, 7, 3, seed))
         assert_minimizes_like_the_recomputation(acyclic_prefix_table(40, seed))
+    # a small sweep that skips a state left with no classmate: canonical order
+    # merges 2 into 1 and then skips 1, reversed merges 1 into 2 and skips 2
+    assert_minimizes_like_the_recomputation(parse_dfa(
+        "dfa v1\nalphabet 01\nstates 5\nstart 0\naccept 0 2 3\n"
+        "0 0 1\n0 1 2\n1 0 3\n1 1 4\n2 0 3\n2 1 4\n3 0 3\n3 1 3\n4 0 4\n4 1 3\n"))
 
 
 @given(dfas(max_states=6))

@@ -32,7 +32,6 @@ from .formats import (
     TrimWarning,
     format_word,
     parse_dfa,
-    parse_word_list,
     serialize_dfa,
 )
 from .iso import (
@@ -88,7 +87,6 @@ __all__ = [
     "minimize",
     "minimize_with_map",
     "parse_dfa",
-    "parse_word_list",
     "product_xor",
     "random_dfa",
     "redirect_boundary_transition",

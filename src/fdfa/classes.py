@@ -24,9 +24,9 @@ class StateClassPartition:
 
 
 class _TableAnalysis:
-    """The Moore blocks, finite part and ~ classes of one raw table, each
-    computed on first read: one machine's table, or the disjoint union of two,
-    whose classes are ~ across both.  A caller builds one per call."""
+    """The Moore blocks, finite part, ~ classes and class members of one raw
+    table, each computed on first read: one machine's table, or the disjoint
+    union of two, whose classes are ~ across both.  One is built per call."""
 
     def __init__(self, delta, accepting):
         self.delta, self.accepting = delta, accepting
@@ -85,6 +85,30 @@ class _TableAnalysis:
             smallest.setdefault(leader[x], q)
         return tuple(smallest[leader[x]] for x in block_of)
 
+    @cached_property
+    def members(self) -> dict[int, list[int]]:
+        # each class's states in id order, keyed by its smallest member; a key
+        # is first seen at that member, so the keys come out in id order
+        members: dict[int, list[int]] = {}
+        for q, c in enumerate(self.class_of):
+            members.setdefault(c, []).append(q)
+        return members
+
+    def mergeable_pair(self, states: range) -> tuple[int, int] | None:
+        # the pair is_f_minimal reports for the machine on ``states``, renumbered
+        # from ``states.start``; equal languages and ~ do not depend on the rest
+        # of the table, so a union answers for either of its machines
+        first_in_block: dict[int, int] = {}
+        for s, x in enumerate(self.blocks.block_of[states.start:states.stop]):
+            if first_in_block.setdefault(x, s) != s:
+                return first_in_block[x], s
+        for p in self.part(states, finite=True):
+            q = states.start + p
+            mate = next((s for s in self.members[self.class_of[q]] if s != q and s in states), None)
+            if mate is not None:
+                return p, mate - states.start
+        return None
+
     def part(self, states: range, finite: bool) -> list[int]:
         # the states of ``states`` in the finite (or infinite) part, renumbered
         # from ``states.start``
@@ -109,12 +133,5 @@ def finite_difference_classes(delta, accepting) -> tuple[int, ...]:
 
 def state_class_partition(d: Dfa) -> StateClassPartition:
     """Group the states of ``d`` into ~ classes."""
-    return _partition_of(finite_difference_classes(d.delta, d.accepting))
-
-
-def _partition_of(class_of: tuple[int, ...]) -> StateClassPartition:
-    grouped: dict[int, list[int]] = {}
-    for q, cid in enumerate(class_of):
-        grouped.setdefault(cid, []).append(q)
-    classes = tuple(tuple(grouped[cid]) for cid in sorted(grouped))
-    return StateClassPartition(class_of, classes)
+    table = _TableAnalysis(d.delta, d.accepting)
+    return StateClassPartition(table.class_of, tuple(map(tuple, table.members.values())))

@@ -236,6 +236,8 @@ class Dfa:
 
     def run(self, word: Word, start: int | None = None) -> int:
         """State reached from ``start`` (default: the start state) after reading ``word``."""
+        if start is not None:
+            _check_states(self, start)
         q = self.start if start is None else start
         delta = self.delta
         index = self._symbol_index
@@ -248,6 +250,12 @@ class Dfa:
 
     def accepts(self, word: Word) -> bool:
         return self.run(word) in self.accepting
+
+
+def _check_states(d: Dfa, *states: int) -> None:
+    for q in states:
+        if q not in d.states:
+            raise ValueError(f"state {q} out of range")
 
 
 def trim(alphabet, start, accepting, delta) -> tuple[Dfa, dict[int, int]]:
@@ -281,8 +289,7 @@ def _renumber(alphabet, start, accepting, rows, reached) -> tuple[Dfa, dict[int,
 
 def induce(d: Dfa, q: int) -> Dfa:
     """The automaton obtained by re-pointing the start at ``q`` and trimming."""
-    if q not in d.states:
-        raise ValueError(f"state {q} out of range")
+    _check_states(d, q)
     dfa, _ = _trim(d.alphabet, q, d.accepting, d.delta)
     return dfa
 
@@ -357,11 +364,14 @@ def _lex_symbol_order(d: Dfa) -> tuple[tuple[int, str], ...]:
 
 def shortest_word_to(d: Dfa, source: int, targets: Iterable[int]) -> Word | None:
     """Shortlex-least word taking ``source`` into ``targets``, or None if unreachable."""
-    return _shortlex_search(d, [(source, "")], set(targets))
+    goal = set(targets)
+    _check_states(d, source, *goal)
+    return _shortlex_search(d, [(source, "")], goal)
 
 
 def shortest_cycle_word(d: Dfa, q: int) -> Word | None:
     """Shortlex-least non-empty word returning ``q`` to itself, or None if q is acyclic."""
+    _check_states(d, q)
     row = d.delta[q]
     return _shortlex_search(d, [(row[ci], sym) for ci, sym in _lex_symbol_order(d)], {q})
 

@@ -13,8 +13,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import Dfa, _forward_closure, _trim, _xor_rows, induce, states_reaching
-from .classes import _partition_of, _TableAnalysis
+from .core import Dfa, _check_states, _forward_closure, _trim, _xor_rows, induce, states_reaching
+from .classes import _TableAnalysis
 from .language import _count_words, symmetric_difference
 from .minimize import StatePartition, is_minimized, minimize
 from .parts import words_reaching
@@ -150,9 +150,8 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     if not finite:
         return _checked(m0), ()
     table.blocks = StatePartition(tuple(range(n)), n)  # m0 is minimized: no refinement
-    classes = _partition_of(table.class_of)
-    class_of = classes.class_of
-    members = {cls[0]: list(cls) for cls in classes.classes}
+    # the analysis belongs to this call, so the merges may edit its member lists
+    class_of, members = table.class_of, table.members
     # a merge only drops states, so no state becomes a candidate later, and the
     # next entry still finite and with a live classmate is the largest
     # (smallest) candidate left.  Canonical order takes the largest id first: on
@@ -225,27 +224,8 @@ def is_f_minimal(d: Dfa) -> tuple[bool, tuple[int, int] | None]:
 
     When false, returns a violating pair (p, q) that could be merged.
     """
-    pair = _mergeable_pair(_TableAnalysis(d.delta, d.accepting), d.states)
+    pair = _TableAnalysis(d.delta, d.accepting).mergeable_pair(d.states)
     return pair is None, pair
-
-
-def _mergeable_pair(table: _TableAnalysis, states: range) -> tuple[int, int] | None:
-    # the pair is_f_minimal reports for the machine on ``states`` of ``table``,
-    # renumbered from ``states.start``; equal languages and ~ do not depend on
-    # the rest of the table, so a union answers for either of its machines
-    first_in_block: dict[int, int] = {}
-    for s, x in enumerate(table.blocks.block_of[states.start:states.stop]):
-        if first_in_block.setdefault(x, s) != s:
-            return first_in_block[x], s
-    class_of = table.class_of[states.start:states.stop]
-    members: dict[int, list[int]] = {}
-    for s, c in enumerate(class_of):
-        members.setdefault(c, []).append(s)
-    for p in table.part(states, finite=True):
-        mates = [s for s in members[class_of[p]] if s != p]
-        if mates:
-            return p, mates[0]
-    return None
 
 
 def flip_finite_acceptance(d: Dfa, states) -> Dfa:
@@ -256,9 +236,7 @@ def flip_finite_acceptance(d: Dfa, states) -> Dfa:
     transition structure are untouched.
     """
     flip = frozenset(states)
-    for s in flip:
-        if s not in d.states:
-            raise ValueError(f"state {s} out of range")
+    _check_states(d, *flip)
     outside = flip - _TableAnalysis(d.delta, d.accepting).finite
     if outside:
         raise FMergeError(f"states not in the finite part: {sorted(outside)}")
@@ -272,10 +250,7 @@ def redirect_boundary_transition(d: Dfa, source: int, symbol: str, new_target: i
     part; the new target must also be an infinite-part state finitely different
     from the old one.  Redirecting to the current target returns ``d`` itself.
     """
-    if source not in d.states:
-        raise ValueError(f"state {source} out of range")
-    if new_target not in d.states:
-        raise ValueError(f"state {new_target} out of range")
+    _check_states(d, source, new_target)
     ci = d.symbol_index(symbol)
     table = _TableAnalysis(d.delta, d.accepting)
     if source not in table.finite:

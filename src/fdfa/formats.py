@@ -342,19 +342,13 @@ def parse_word(token: str) -> Word:
     return token
 
 
-def parse_word_list(text: str) -> list[Word]:
-    """One word per line, ``@`` for the empty word, ``#`` comments and blanks ignored.
+def _read_words(text: str, alphabet: str) -> list[Word]:
+    """One word per line, ``@`` for the empty word, ``#`` comments and blanks
+    ignored, each word then checked against ``alphabet`` so that a word
+    outside it names its line too.
 
-    A bad line raises :class:`DfaFormatError`, which names the line.
-    """
-    return _read_words(text, None)
-
-
-def _read_words(text: str, alphabet: str | None) -> list[Word]:
-    """:func:`parse_word_list`, and unless ``alphabet`` is None, each word then
-    checked against it, so that a word outside it names its line too.
-
-    Format errors come first; an invalid ``alphabet`` then raises the
+    A bad line raises :class:`DfaFormatError`, which names the line; format
+    errors come first, and an invalid ``alphabet`` then raises the
     :func:`check_alphabet` error, which has no line."""
     numbered = []
     for line_no, content, _ in _logical_lines(text):
@@ -364,11 +358,10 @@ def _read_words(text: str, alphabet: str | None) -> list[Word]:
             numbered.append((line_no, parse_word(content)))
         except ValueError as exc:
             raise DfaFormatError(str(exc), line_no) from None
-    if alphabet is not None:
-        check_alphabet(alphabet)
-        for line_no, word in numbered:
-            try:
-                check_word(word, alphabet)
-            except ValueError as exc:
-                raise DfaFormatError(str(exc), line_no) from None
+    check_alphabet(alphabet)
+    for line_no, word in numbered:
+        try:
+            check_word(word, alphabet)
+        except ValueError as exc:
+            raise DfaFormatError(str(exc), line_no) from None
     return [word for _, word in numbered]

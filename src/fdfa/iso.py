@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .core import AlphabetMismatchError, Dfa, disjoint_union
 from .classes import _TableAnalysis
-from .fmin import _mergeable_pair, is_f_minimal
 
 INFINITE_PART = "infinite"
 FINITE_PART = "finite"
@@ -103,7 +102,7 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     except AlphabetMismatchError:
         # the f-minimality checks come first, as they would on one alphabet
         for d, side in ((a, "left"), (b, "right")):
-            if not is_f_minimal(d)[0]:
+            if _TableAnalysis(d.delta, d.accepting).mergeable_pair(d.states) is not None:
                 raise ValueError(f"{side} automaton is not f-minimal") from None
         raise
     # one Moore partition, one peel and one ~ pass of the union answer both
@@ -112,7 +111,7 @@ def finite_part_iso(a: Dfa, b: Dfa) -> StateBijection:
     n = a.n_states
     left, right = range(n), range(n, n + b.n_states)
     for side, states in (("left", left), ("right", right)):
-        if _mergeable_pair(table, states) is not None:
+        if table.mergeable_pair(states) is not None:
             raise ValueError(f"{side} automaton is not f-minimal")
     class_of = table.class_of
     if class_of[a.start] != class_of[n + b.start]:

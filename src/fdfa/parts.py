@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, _peel, states_reaching
+from .core import Dfa, Word, _check_states, _peel, states_reaching
 from .language import _list_text
 
 
@@ -33,8 +33,7 @@ def words_reaching(d: Dfa, q: int) -> list[Word]:
     Only defined for finite-part states; an infinite-part state is reached by
     infinitely many words.
     """
-    if q not in d.states:
-        raise ValueError(f"state {q} out of range")
+    _check_states(d, q)
     # q is in the infinite part exactly when a cycle reaches it, and such a
     # cycle lies among the states that reach q, so peeling them alone decides
     reaching = states_reaching(d.delta, {q})

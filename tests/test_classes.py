@@ -174,6 +174,8 @@ def test_partition_is_transitive_and_id_is_smallest_member(d):
         assert cls[0] == min(cls)
         for member in cls:
             assert part.class_of[member] == cls[0]
+    # classes come sorted by first member, each with its members ascending
+    assert list(part.classes) == sorted(tuple(sorted(cls)) for cls in part.classes)
 
 
 def test_partition_matches_per_pair_verdicts_on_every_small_machine(suite3):

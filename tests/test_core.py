@@ -16,12 +16,36 @@ from fdfa.core import (
     trim,
 )
 from fdfa.classes import state_class_partition
-from fdfa.fmin import f_minimize, redirect_boundary_transition
+from fdfa.fmin import f_minimize, flip_finite_acceptance, redirect_boundary_transition
 from fdfa.minimize import minimize_with_map
-from fdfa.parts import compute_parts
+from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
 from conftest import dfas
+
+
+# each call names a state of 1·0* (states 0..2; 0 is its finite part, and 0
+# enters 2 on 1) by the id it is given and keeps its other arguments valid
+CALLS_ON_A_STATE = {
+    "run": lambda d, q: d.run("0", start=q),
+    "shortest_cycle_word": shortest_cycle_word,
+    "shortest_word_to_source": lambda d, q: shortest_word_to(d, q, {2}),
+    "shortest_word_to_target": lambda d, q: shortest_word_to(d, 0, {2, q}),
+    "induce": induce,
+    "words_reaching": words_reaching,
+    "flip_finite_acceptance": lambda d, q: flip_finite_acceptance(d, {0, q}),
+    "redirect_source": lambda d, q: redirect_boundary_transition(d, q, "1", 2),
+    "redirect_target": lambda d, q: redirect_boundary_transition(d, 0, "1", q),
+}
+
+
+@pytest.mark.parametrize("q", [-1, 3])
+@pytest.mark.parametrize("call", CALLS_ON_A_STATE)
+def test_a_state_id_outside_the_machine_is_rejected(call, q):
+    d = fixtures.onezstar()
+    assert d.n_states == 3
+    with pytest.raises(ValueError, match=rf"^state {q} out of range$"):
+        CALLS_ON_A_STATE[call](d, q)
 
 
 def test_alphabet_rules():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 
 import fdfa.classes
 import fdfa.core
+import fdfa.fmin
 from fdfa.classes import state_class_partition
-from fdfa.core import Dfa
+from fdfa.core import Dfa, disjoint_union
 from fdfa.fmin import (
     FMergeError,
     _merge,
@@ -110,6 +111,27 @@ def test_is_f_minimal_verdicts():
     p, q = pair
     assert p in compute_parts(zero_machine()).finite
     assert states_finitely_different(zero_machine(), p, q)[0]
+
+
+def assert_union_answers_for_either_machine(a, b):
+    # mergeable_pair reads equal languages and ~ off the union, where neither
+    # depends on the other machine's states
+    table = fdfa.classes._TableAnalysis(*disjoint_union(a, b))
+    n = a.n_states
+    assert table.mergeable_pair(range(n)) == is_f_minimal(a)[1]
+    assert table.mergeable_pair(range(n, n + b.n_states)) == is_f_minimal(b)[1]
+
+
+def test_a_union_answers_the_f_merge_check_for_either_machine(suite2):
+    for a in suite2:
+        for b in suite2:
+            assert_union_answers_for_either_machine(a, b)
+
+
+@given(dfas(max_states=5), dfas(max_states=5))
+@settings(max_examples=100)
+def test_a_union_of_random_machines_answers_for_either(a, b):
+    assert_union_answers_for_either_machine(a, b)
 
 
 def test_flip_finite_acceptance():
@@ -276,29 +298,48 @@ def load_fixture(name):
     return parse_dfa((FIXTURES / f"{name}.dfa").read_text())
 
 
+def record_analyses(monkeypatch) -> list:
+    """Bind a table analysis that appends itself to the returned list as
+    ``fdfa.fmin._TableAnalysis``."""
+    built = []
+
+    class Recorded(fdfa.classes._TableAnalysis):
+        def __init__(self, delta, accepting):
+            super().__init__(delta, accepting)
+            built.append(self)
+
+    monkeypatch.setattr(fdfa.fmin, "_TableAnalysis", Recorded)
+    return built
+
+
+def classes_computed(analyses) -> list[bool]:
+    # for each analysis built, whether its ~ classes were computed
+    return ["class_of" in vars(table) for table in analyses]
+
+
 def test_f_minimize_with_no_finite_part_stops_after_minimizing(monkeypatch):
     d = load_fixture("zstar")
     expected = (minimize(d), ())
     blocks = count_calls(monkeypatch, moore_blocks)
     peels = count_calls(monkeypatch, fdfa.core._peel)
-    partitions = count_calls(monkeypatch, fdfa.classes._partition_of)
+    analyses = record_analyses(monkeypatch)
     assert f_minimize(d) == expected
     # one refinement in minimize and one in the closing is_minimized check
     assert len(blocks) == 2
     assert len(peels) == 1
-    assert partitions == []
+    assert classes_computed(analyses) == [False]
 
 
 def test_f_minimize_with_no_classmate_stops_after_one_pick(monkeypatch):
     d = load_fixture("onezstar")
     expected = (minimize(d), ())
-    partitions = count_calls(monkeypatch, fdfa.classes._partition_of)
+    analyses = record_analyses(monkeypatch)
     products = count_calls(monkeypatch, fdfa.core._xor_rows)
     trims = count_calls(monkeypatch, fdfa.core._trim)
     blocks = count_calls(monkeypatch, moore_blocks)
     # state 0 is the whole finite part, and no other state is ~ to it
     assert f_minimize(d) == expected
-    assert len(partitions) == 1
+    assert classes_computed(analyses) == [True]
     # no record is counted and no merged table trimmed
     assert products == trims == []
     # one refinement in minimize and one in the closing is_minimized check

@@ -14,7 +14,6 @@ from fdfa.formats import (
     format_word,
     parse_dfa,
     parse_word,
-    parse_word_list,
     serialize_dfa,
 )
 from fdfa.minimize import moore_blocks
@@ -213,7 +212,7 @@ def test_word_forms():
     assert format_word("01") == "01"
     assert parse_word("@") == ""
     assert parse_word("01") == "01"
-    assert parse_word_list("# words\n@\n0\n\n11\n") == ["", "0", "11"]
+    assert formats._read_words("# words\n@\n0\n\n11\n", "01") == ["", "0", "11"]
 
 
 def test_serialization_has_no_warnings_for_clean_input():

@@ -9,6 +9,7 @@ detail lines after it.  Exit codes: 0 = success or affirmative verdict,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .classes import state_class_partition
@@ -275,6 +276,25 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with automatic cyclic garbage collection paused, and the
+    collector is left on or off as it was found.  On a large table a request
+    allocates hundreds of thousands of tuples, each of which counts towards
+    the next collection.  The package builds no reference cycle, so
+    reference counting alone frees its memory; only argparse's usage and help
+    messages leave a few objects in one, which a later collection frees.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -50,4 +50,10 @@ def construct_pair(words, alphabet: str) -> tuple[Dfa, Dfa]:
         for sym in w:
             r = k * r + 1 + index[sym]
         accepting.add(2 * r + 1)
-    return Dfa(alphabet, 0, accepting, delta), Dfa(alphabet, 1, accepting, delta)
+    # valid by construction, so not checked again: every row holds k ids below
+    # the row count, each start reaches the states of its copy by their words,
+    # and the wrapping rows of either copy enter both starts
+    accepting = frozenset(accepting)
+    delta = tuple(delta)
+    return (Dfa._unchecked(alphabet, 0, accepting, delta),
+            Dfa._unchecked(alphabet, 1, accepting, delta))

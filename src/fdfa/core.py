@@ -205,8 +205,9 @@ class Dfa:
 
     @classmethod
     def _unchecked(cls, alphabet, start, accepting, delta) -> "Dfa":
-        """Build without ``__post_init__`` from a table derived from a valid machine
-        or already checked by :func:`fdfa.formats.parse_dfa`.
+        """Build without ``__post_init__`` from a table derived from a valid machine,
+        already checked by :func:`fdfa.formats.parse_dfa`, or valid by
+        construction (:func:`fdfa.construct.construct_pair`).
 
         The caller guarantees what the checks would establish: ``accepting`` is
         a frozenset and ``delta`` a tuple of k-tuples of in-range ids, and every

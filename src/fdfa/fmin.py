@@ -53,16 +53,21 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
 
 class _Replay:
     """The machines of one ``f_minimize`` call, rebuilt by replaying its merges
-    with :func:`_merge` from the minimized input, as far as a record asks."""
+    with :func:`_merge` from the minimized input, as far as a record asks.
 
-    def __init__(self, first: Dfa, records: list[MergeRecord]):
+    It holds the ``(merged, target)`` step of each merge, not the records
+    that point at it, so the records and their replay form no reference
+    cycle and are freed without the cyclic collector.
+    """
+
+    def __init__(self, first: Dfa, steps: list[tuple[int, int]]):
         self.machines = [first]
-        self.records = records
+        self.steps = steps
 
     def machine(self, i: int) -> Dfa:
         while len(self.machines) <= i:
-            r = self.records[len(self.machines) - 1]
-            self.machines.append(_merge(self.machines[-1], r.merged, r.target))
+            p, q = self.steps[len(self.machines) - 1]
+            self.machines.append(_merge(self.machines[-1], p, q))
         return self.machines[i]
 
 
@@ -124,7 +129,8 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
 
     The finite part (one peel) and ~ classes are computed once, on the
     minimized machine; with no finite part, or no finite-part state with a
-    classmate, it is returned as is, with no table or replay built.
+    classmate, it is returned as is, with no table or replay built and no
+    closing check, since :func:`minimize` built it minimal.
     Otherwise both are carried through the merges, which leave both unchanged
     on the surviving states (Holzer & Maletti, TCS 2010, Alg. 3): a merge
     changes the language of only the finite-part ancestors of the merged
@@ -148,7 +154,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     # a merge deletes a finite-part state that has a classmate, so without
     # one m0 is already f-minimal
     if not finite:
-        return _checked(m0), ()
+        return m0, ()
     table.blocks = StatePartition(tuple(range(n)), n)  # m0 is minimized: no refinement
     # the analysis belongs to this call, so the merges may edit its member lists
     class_of, members = table.class_of, table.members
@@ -159,7 +165,7 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
     # first and a merge cannot orphan the remaining candidates via trimming
     sweep = sorted((p for p in finite if len(members[class_of[p]]) > 1), reverse=not reverse)
     if not sweep:
-        return _checked(m0), ()
+        return m0, ()
     rows = [list(row) for row in m0.delta]
     accepting = m0.accepting
     start = m0.start
@@ -169,7 +175,8 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         for t in row:
             preds[t].add(s)
     trace: list[MergeRecord] = []
-    replay = _Replay(m0, trace)
+    steps: list[tuple[int, int]] = []
+    replay = _Replay(m0, steps)
     for p in sweep:
         mates = [s for s in members[class_of[p]] if s != p]
         if p not in finite or not mates:
@@ -179,10 +186,12 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         pool = [s for s in mates if s not in finite] or mates
         q = min(pool) if not reverse else max(pool)
         _, pair_rows, differ = _xor_rows(rows, accepting, rows, accepting, (p, q))
+        merged, target = bisect_left(alive, p), bisect_left(alive, q)
+        steps.append((merged, target))
         trace.append(
             MergeRecord(
-                merged=bisect_left(alive, p),
-                target=bisect_left(alive, q),
+                merged=merged,
+                target=target,
                 class_id=bisect_left(alive, members[class_of[p]][0]),
                 # p is in the finite part, so every state reaching it is acyclic;
                 # a closure over the predecessor sets collects those states

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from itertools import chain
 
 from .core import (
     Dfa,
@@ -310,22 +311,21 @@ def _read_lines(numbered, alphabet: str, n: int, start: int, complete: bool):
 
 
 def serialize_dfa(d: Dfa) -> str:
-    """Canonical ``dfa v1`` text: transitions sorted by (from, symbol), accept ascending."""
-    lines = [
-        "dfa v1",
-        f"alphabet {d.alphabet}",
-        f"states {d.n_states}",
-        f"start {d.start}",
-    ]
-    if d.accepting:
-        lines.append("accept " + " ".join(str(q) for q in sorted(d.accepting)))
-    else:
-        lines.append("accept -")
+    """Canonical ``dfa v1`` text: transitions sorted by (from, symbol), accept ascending.
+
+    The transition section is one ``%`` format of a row's lines, repeated
+    once per state, over the ids in row order: each state's id beside each
+    of its targets, symbols in character order.
+    """
+    accept = " ".join(map(str, sorted(d.accepting))) if d.accepting else "-"
+    header = f"dfa v1\nalphabet {d.alphabet}\nstates {d.n_states}\nstart {d.start}\naccept {accept}\n"
     order = _lex_symbol_order(d)
-    for q, row in enumerate(d.delta):
-        for ci, sym in order:
-            lines.append(f"{q} {sym} {row[ci]}")
-    return "\n".join(lines) + "\n"
+    row_lines = "".join(f"%d {sym.replace('%', '%%')} %d\n" for _, sym in order)
+    columns = list(zip(*d.delta))
+    ids = []  # per state: its id and target, once per symbol in order
+    for ci, _ in order:
+        ids += [d.states, columns[ci]]
+    return header + row_lines * d.n_states % tuple(chain.from_iterable(zip(*ids)))
 
 
 def format_word(word: Word) -> str:

@@ -22,16 +22,20 @@ def moore_blocks(delta, accepting) -> StatePartition:
     a valid :class:`Dfa`: states unreachable from any start are fine.  Each
     round reads the table by columns: a state's signature is its block and its
     successors' blocks, built for all states by one ``zip``, and blocks are
-    numbered in first-seen state order.
+    numbered in first-seen state order.  Refinement stops when a round splits
+    no block, or as soon as every block is a single state, which no further
+    round can split.
     """
+    n = len(delta)
     columns = list(zip(*delta))
-    block, count = _first_seen_ids(list(map(accepting.__contains__, range(len(delta)))))
-    while True:
+    block, count = _first_seen_ids(list(map(accepting.__contains__, range(n))))
+    while count < n:
         sigs = list(zip(block, *[map(block.__getitem__, c) for c in columns]))
         block, new_count = _first_seen_ids(sigs)
         if new_count == count:
-            return StatePartition(tuple(block), count)
+            break
         count = new_count
+    return StatePartition(tuple(block), count)
 
 
 def _first_seen_ids(keys: list) -> tuple[list[int], int]:

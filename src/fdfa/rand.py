@@ -34,6 +34,19 @@ def _below(x: int, n: int, count: int) -> tuple[int, list[int]]:
     return x, draws
 
 
+def _lcg_steps(count: int) -> tuple[int, int]:
+    """(a, c) such that x -> (a*x + c) mod 2**64 is ``count`` steps of the
+    generator, composed by repeated squaring."""
+    a, c = 1, 0
+    step_a, step_c = _LCG_MULT, _LCG_INC  # 2**i steps
+    while count:
+        if count & 1:
+            a, c = (step_a * a) & _MASK64, (step_a * c + step_c) & _MASK64
+        step_a, step_c = (step_a * step_a) & _MASK64, (step_a * step_c + step_c) & _MASK64
+        count >>= 1
+    return a, c
+
+
 def random_dfa(n_states: int, alphabet: str, seed: int) -> Dfa:
     """Seeded random DFA with all states reachable.
 
@@ -46,11 +59,15 @@ def random_dfa(n_states: int, alphabet: str, seed: int) -> Dfa:
     if n_states < 1:
         raise ValueError("need at least one state")
     k = len(alphabet)
+    # a bound-2 draw is never rejected, so the accept bits of an attempt are
+    # exactly n_states steps, which a discarded attempt skips in one
+    mult, inc = _lcg_steps(n_states)
     x = seed & _MASK64
     while True:
         x, targets = _below(x, n_states, n_states * k + 1)
         start = targets.pop()
         delta = tuple(zip(*[iter(targets)] * k))
-        x, bits = _below(x, 2, n_states)
         if len(reachable_states(delta, start)) == n_states:
+            x, bits = _below(x, 2, n_states)
             return Dfa(alphabet, start, frozenset(compress(range(n_states), bits)), delta)
+        x = (x * mult + inc) & _MASK64

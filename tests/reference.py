@@ -14,6 +14,8 @@ representative words instead of one Moore partition, and the ``dfa v1`` reader
 as a per-token parse of each logical line of ``str.splitlines`` keyed by
 (state, symbol) pairs instead of reading canonical text by columns, the
 header lazily, and other text with one tokenization per line keyed by ints,
+the ``dfa v1`` writer as one formatted string per transition line
+(``serialize_dfa_by_lines``) instead of one ``%`` format over the table,
 the word count by a depth-first search from the start
 (``count_words_by_search``) instead of one pass in reverse peeling order,
 and the finite word list
@@ -456,6 +458,25 @@ def parse_dfa_by_lines(text: str, *, complete: bool = False) -> Dfa:
     new_id = {old: new for new, old in enumerate(keep)}
     delta = tuple(tuple(new_id[t] for t in rows[old]) for old in keep)
     return Dfa(alphabet, new_id[start], frozenset(new_id[q] for q in accepting if q in new_id), delta)
+
+
+def serialize_dfa_by_lines(d: Dfa) -> str:
+    """Canonical ``dfa v1`` text: transitions sorted by (from, symbol), accept ascending."""
+    lines = [
+        "dfa v1",
+        f"alphabet {d.alphabet}",
+        f"states {d.n_states}",
+        f"start {d.start}",
+    ]
+    if d.accepting:
+        lines.append("accept " + " ".join(str(q) for q in sorted(d.accepting)))
+    else:
+        lines.append("accept -")
+    order = _lex_symbol_order(d)
+    for q, row in enumerate(d.delta):
+        for ci, sym in order:
+            lines.append(f"{q} {sym} {row[ci]}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

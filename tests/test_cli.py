@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from fdfa import cli, formats
 from fdfa.cli import main
 from fdfa.formats import serialize_dfa
 
-from conftest import count_calls, dfas, sigma_upto
+from conftest import count_calls, dfas, sigma_upto, trie_on_kernel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -554,3 +555,84 @@ def test_read_errors_are_the_ones_text_mode_gave(tmp_path, monkeypatch, capsys):
                      ["construct", "--words", path, "--alphabet", "01", "-o1", "l.dfa", "-o2", "r.dfa"]):
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"fdfa: error: {error}\n"), argv
+
+
+@pytest.fixture
+def collector():
+    """Sets the cyclic collector back to its state before the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _raise(exc):
+    def raising(*args):
+        raise exc
+    return raising
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_it(enabled, collector, monkeypatch, capsys):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    during = []
+
+    def parts(d):
+        during.append(gc.isenabled())
+        return compute_parts(d)
+
+    compute_parts = cli.compute_parts
+    monkeypatch.setattr(cli, "compute_parts", parts)
+    for argv, code in (
+        (["parts", fix("onezstar")], 0),
+        (["findiff", fix("zstar"), fix("onezstar")], 1),
+        (["check", "no-such-file.dfa"], 2),
+        (["frobnicate"], 2),  # a usage error, which argparse ends with SystemExit
+        ([], 2),
+    ):
+        assert main(argv) == code, argv
+        assert gc.isenabled() is enabled, argv
+    assert during == [False]
+    monkeypatch.setattr(cli, "random_dfa", _raise(MemoryError))
+    assert main(["random", "--states", "2", "--alphabet", "01", "--seed", "1"]) == 2
+    assert gc.isenabled() is enabled
+    assert capsys.readouterr().err.endswith("\nfdfa: error: out of memory\n")
+    # an exception main does not handle still restores the collector
+    monkeypatch.setattr(cli, "random_dfa", _raise(KeyError("bug")))
+    with pytest.raises(KeyError):
+        main(["random", "--states", "2", "--alphabet", "01", "--seed", "1"])
+    assert gc.isenabled() is enabled
+
+
+def test_a_command_leaves_no_reference_cycle(tmp_path, monkeypatch, collector, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("sigma40.dfa").write_text(serialize_dfa(sigma_upto(40)))
+    Path("trie.dfa").write_text(serialize_dfa(trie_on_kernel(40, 10, 5, 1)))
+    Path("w.txt").write_text("@\n0\n11\n")
+    names = [str(p) for p in sorted(FIXTURES.glob("*.dfa"))]
+    argvs = []
+    for f in names:
+        argvs += [["check", f, "-o", "out.dfa"], ["minimize", f], ["fminimize", f],
+                  ["fminimize", "--trace", f], ["parts", f], ["classes", f]]
+        for g in names:
+            argvs += [["diff", f, g], ["findiff", f, g],
+                      ["iso", "--part", "infinite", f, g], ["iso", "--part", "finite", f, g]]
+    argvs += [
+        # merges whose records share one replay of the machines
+        ["fminimize", "--trace", "sigma40.dfa"],
+        ["fminimize", "--trace", "trie.dfa"],
+        ["construct", "--words", "w.txt", "--alphabet", "01", "-o1", "l.dfa", "-o2", "r.dfa"],
+        ["random", "--states", "24", "--alphabet", "01", "--seed", "7"],
+    ]
+    gc.collect()
+    gc.disable()
+    for argv in argvs:
+        main(argv)
+        capsys.readouterr()
+        # with the collector off, only a reference cycle leaves objects to collect
+        assert gc.collect() == 0, argv

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdfa.construct import construct_pair
+from fdfa.core import Dfa
 from fdfa.formats import serialize_dfa
 from fdfa.language import symmetric_difference
 from fdfa.minimize import minimize
@@ -124,6 +125,8 @@ def test_construction_matches_the_prefix_numbering(case):
     expected = construct_pair_by_prefixes(words, alphabet)
     got = construct_pair(words, alphabet)
     assert [serialize_dfa(d) for d in got] == [serialize_dfa(d) for d in expected]
+    # the table is built unchecked: it passes every check a Dfa makes
+    assert got == tuple(Dfa(d.alphabet, d.start, d.accepting, d.delta) for d in got)
 
 
 @given(st.lists(st.text(alphabet="01", max_size=3), max_size=6))

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -211,6 +212,30 @@ def test_f_minimize_properties(d):
         assert len(realized.words) <= r.bound
 
 
+@pytest.mark.parametrize("d", [sigma_upto(40), trie_on_kernel(40, 10, 5, 1)],
+                         ids=["sigma_upto(40)", "trie_on_kernel"])
+def test_merge_records_replay_their_machines_without_a_reference_cycle(d):
+    out, records = f_minimize(d)
+    assert len(records) > 1
+    # read out of order: the last record replays every merge before it
+    for r in reversed(records):
+        assert r.after == f_merge(r.before, r.merged, r.target)
+    assert records[0].before == minimize(d)
+    assert records[-1].after == out
+    for r, s in zip(records, records[1:]):
+        assert r.after is s.before
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        del r, s, records
+        # the records and their shared replay are freed by reference counting
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     import fdfa.language
 
@@ -324,8 +349,9 @@ def test_f_minimize_with_no_finite_part_stops_after_minimizing(monkeypatch):
     peels = count_calls(monkeypatch, fdfa.core._peel)
     analyses = record_analyses(monkeypatch)
     assert f_minimize(d) == expected
-    # one refinement in minimize and one in the closing is_minimized check
-    assert len(blocks) == 2
+    # one refinement, in minimize: with nothing merged there is no closing
+    # is_minimized check
+    assert len(blocks) == 1
     assert len(peels) == 1
     assert classes_computed(analyses) == [False]
 
@@ -342,8 +368,9 @@ def test_f_minimize_with_no_classmate_stops_after_one_pick(monkeypatch):
     assert classes_computed(analyses) == [True]
     # no record is counted and no merged table trimmed
     assert products == trims == []
-    # one refinement in minimize and one in the closing is_minimized check
-    assert len(blocks) == 2
+    # one refinement, in minimize: with nothing merged there is no closing
+    # is_minimized check
+    assert len(blocks) == 1
 
 
 def test_f_minimize_stays_within_its_memory_bound():

@@ -20,7 +20,7 @@ from fdfa.minimize import moore_blocks
 
 import machines as fixtures
 from conftest import dfas, sigma_upto
-from reference import parse_dfa_by_lines
+from reference import parse_dfa_by_lines, serialize_dfa_by_lines
 
 ZSTAR_TEXT = """dfa v1
 alphabet 01
@@ -383,6 +383,22 @@ def random_machine(seed, n, alphabet):
     delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
     d, _ = trim(alphabet, 0, frozenset(q for q in range(n) if rng.random() < 0.5), delta)
     return d
+
+
+# a % in a symbol must be escaped in the format; a symbol above U+FFFF is one
+# character however it is stored
+@pytest.mark.parametrize("alphabet", ["01", "012", "1%0", "\U0001d51eb"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_the_line_by_line_reference(alphabet, data):
+    d = data.draw(dfas(max_states=6, alphabet=alphabet))
+    assert serialize_dfa(d) == serialize_dfa_by_lines(d)
+
+
+def test_writer_matches_the_line_by_line_reference_at_size():
+    for alphabet in ("%b", "c\U0001d51ea"):
+        d = random_machine(3, 3000, alphabet)
+        assert serialize_dfa(d) == serialize_dfa_by_lines(d)
 
 
 @pytest.mark.parametrize("chunk", [6, 17, 64, 1 << 10])

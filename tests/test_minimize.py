@@ -4,6 +4,8 @@ from hypothesis import given
 from fdfa.core import Dfa, induce
 from fdfa.language import languages_equal
 from fdfa.minimize import (
+    StatePartition,
+    _first_seen_ids,
     is_minimized,
     minimize,
     minimize_with_map,
@@ -11,7 +13,7 @@ from fdfa.minimize import (
 )
 
 import machines as fixtures
-from conftest import dfas, raw_tables, structured_machines
+from conftest import count_calls, dfas, raw_tables, sigma_upto, structured_machines
 from oracle import oracle_diff
 from reference import distinguishing_word, moore_blocks_by_states
 
@@ -56,6 +58,24 @@ def test_moore_partition_blocks():
     part = moore_blocks(d.delta, d.accepting)
     assert part.n_blocks == 2
     assert part.block_of[1] == part.block_of[2]
+
+
+def test_refinement_stops_once_every_block_is_one_state(monkeypatch):
+    ids = count_calls(monkeypatch, _first_seen_ids)
+    # Σ^{≤3}: {0 1 2 3 | 4}, then 3, then 2, then 1 split off; a round after
+    # that could split nothing, and none is run
+    d = sigma_upto(3)
+    assert moore_blocks(d.delta, d.accepting) == StatePartition((0, 1, 2, 3, 4), 5)
+    assert len(ids) == 4
+    # twin accepting states never split: the last round confirms the partition
+    ids.clear()
+    d = Dfa("01", 0, {1, 2}, ((1, 2), (1, 2), (1, 2)))
+    assert moore_blocks(d.delta, d.accepting).n_blocks == 2
+    assert len(ids) == 2
+    # two states, one accepting: discrete before any round
+    ids.clear()
+    assert moore_blocks(((1,), (1,)), {1}) == StatePartition((0, 1), 2)
+    assert len(ids) == 1
 
 
 def test_column_rounds_number_blocks_like_the_per_state_rounds(suite3):

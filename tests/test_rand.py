@@ -1,7 +1,7 @@
 import pytest
 
 from fdfa.core import reachable_states
-from fdfa.rand import _below, random_dfa
+from fdfa.rand import _MASK64, _below, _lcg_steps, random_dfa
 
 from reference import Lcg, random_dfa_by_lcg
 
@@ -71,6 +71,19 @@ def test_batched_draws_match_the_lcg_object():
             x, draws = _below(seed & (2 ** 64 - 1), n, 50)
             assert draws == [g.below(n) for _ in range(50)], (n, seed)
             assert x == g.state
+
+
+def test_composed_steps_match_the_lcg_object():
+    for seed in (0, 7, (1 << 64) - 1):
+        g = Lcg(seed)
+        for count in range(300):
+            a, c = _lcg_steps(count)
+            assert (a * (seed & _MASK64) + c) & _MASK64 == g.state, (seed, count)
+            g.next_u32()
+    # far beyond what a loop could step: m + n steps are m steps, then n
+    m, n = 10 ** 18, 12345
+    (a1, c1), (a2, c2) = _lcg_steps(m), _lcg_steps(n)
+    assert _lcg_steps(m + n) == ((a2 * a1) & _MASK64, (a2 * c1 + c2) & _MASK64)
 
 
 def test_random_dfa_draws_what_the_lcg_object_draws():

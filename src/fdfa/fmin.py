@@ -10,26 +10,16 @@ machine of minimum size within its class (no local minima).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
-from .core import Dfa, _check_states, _forward_closure, _trim, _xor_rows, induce, states_reaching
+from .core import Dfa, _check_states, _forward_closure, _trim, _xor_rows, states_reaching
 from .classes import _TableAnalysis
-from .language import _count_words, symmetric_difference
+from .language import _count_words
 from .minimize import StatePartition, is_minimized, minimize
-from .parts import words_reaching
 
 
 class FMergeError(ValueError):
     """An f-merge precondition failed."""
-
-
-def _merge(d: Dfa, p: int, q: int) -> Dfa:
-    # assumes preconditions already checked; with every edge into p sent to q,
-    # trimming drops p and the states reachable only through it, keeping id order
-    rows = [[q if t == p else t for t in row] for row in d.delta]
-    merged, _ = _trim(d.alphabet, q if d.start == p else d.start, d.accepting, rows)
-    return merged
 
 
 def f_merge(d: Dfa, p: int, q: int) -> Dfa:
@@ -48,43 +38,25 @@ def f_merge(d: Dfa, p: int, q: int) -> Dfa:
         raise FMergeError(f"state {p} is in the infinite part")
     if table.class_of[p] != table.class_of[q]:
         raise FMergeError(f"states {p} and {q} are not finitely different")
-    return _merge(d, p, q)
-
-
-class _Replay:
-    """The machines of one ``f_minimize`` call, rebuilt by replaying its merges
-    with :func:`_merge` from the minimized input, as far as a record asks.
-
-    It holds the ``(merged, target)`` step of each merge, not the records
-    that point at it, so the records and their replay form no reference
-    cycle and are freed without the cyclic collector.
-    """
-
-    def __init__(self, first: Dfa, steps: list[tuple[int, int]]):
-        self.machines = [first]
-        self.steps = steps
-
-    def machine(self, i: int) -> Dfa:
-        while len(self.machines) <= i:
-            p, q = self.steps[len(self.machines) - 1]
-            self.machines.append(_merge(self.machines[-1], p, q))
-        return self.machines[i]
+    # with every edge into p sent to q, trimming drops p and the states
+    # reachable only through it, keeping id order
+    rows = [[q if t == p else t for t in row] for row in d.delta]
+    merged, _ = _trim(d.alphabet, q if d.start == p else d.start, d.accepting, rows)
+    return merged
 
 
 @dataclass(frozen=True)
 class MergeRecord:
-    """One performed f-merge, with enough context to audit its diff bound.
+    """One performed f-merge: the ids it decided and the factors of its diff bound.
 
     X is the set of words that reach the deleted state and Z the set where the
     deleted and target states' induced languages disagree; the language change
     caused by this merge is a subset of X.Z, so at most |X|*|Z| words.  The
     record keeps the counts ``n_into`` = |X| and ``n_diff`` = |Z|, which can be
-    exponential in the state count; ``words_into_merged`` and
-    ``class_diff_words`` list X and Z from ``before`` only when asked.  State
-    ids refer to the machine current at merge time (``before``).  A record
-    holds no machine: ``before`` and ``after`` are rebuilt on first read by
-    replaying the merges of its call, and the records of one call share that
-    replay.
+    exponential in the state count, and lists neither set.  State ids refer to
+    the machine current at merge time.  A record holds no machine: replaying
+    the records of one call through :func:`f_merge` from ``minimize(d)``
+    rebuilds the machine before and after each merge.
     """
 
     merged: int
@@ -92,45 +64,24 @@ class MergeRecord:
     class_id: int
     n_into: int
     n_diff: int
-    _replay: _Replay = field(compare=False, repr=False)
-    _step: int = field(compare=False, repr=False)
 
     @property
     def bound(self) -> int:
         return self.n_into * self.n_diff
-
-    @cached_property
-    def before(self) -> Dfa:
-        return self._replay.machine(self._step)
-
-    @cached_property
-    def after(self) -> Dfa:
-        return self._replay.machine(self._step + 1)
-
-    # listed once per record on the first read: a nested loop over X and Z
-    # reads Z again for every word of X
-    @cached_property
-    def words_into_merged(self) -> tuple[str, ...]:
-        """X, shortlex-sorted."""
-        return tuple(words_reaching(self.before, self.merged))
-
-    @cached_property
-    def class_diff_words(self) -> tuple[str, ...]:
-        """Z, shortlex-sorted."""
-        return symmetric_difference(induce(self.before, self.merged),
-                                    induce(self.before, self.target)).words
 
 
 def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRecord, ...]]:
     """Minimize, then greedily f-merge until no finite-part state has a classmate.
 
     ``order`` is "canonical" or "reversed"; both reach a smallest machine in the
-    class, the trace merely differs.
+    class, the trace merely differs.  The records hold ids and counts only;
+    ``m = f_merge(m, r.merged, r.target)`` for each record, from
+    ``m = minimize(d)``, rebuilds the machines between the merges.
 
     The finite part (one peel) and ~ classes are computed once, on the
     minimized machine; with no finite part, or no finite-part state with a
-    classmate, it is returned as is, with no table or replay built and no
-    closing check, since :func:`minimize` built it minimal.
+    classmate, it is returned as is, with no merge table built and no closing
+    check, since :func:`minimize` built it minimal.
     Otherwise both are carried through the merges, which leave both unchanged
     on the surviving states (Holzer & Maletti, TCS 2010, Alg. 3): a merge
     changes the language of only the finite-part ancestors of the merged
@@ -175,8 +126,6 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         for t in row:
             preds[t].add(s)
     trace: list[MergeRecord] = []
-    steps: list[tuple[int, int]] = []
-    replay = _Replay(m0, steps)
     for p in sweep:
         mates = [s for s in members[class_of[p]] if s != p]
         if p not in finite or not mates:
@@ -186,19 +135,15 @@ def f_minimize(d: Dfa, *, order: str = "canonical") -> tuple[Dfa, tuple[MergeRec
         pool = [s for s in mates if s not in finite] or mates
         q = min(pool) if not reverse else max(pool)
         _, pair_rows, differ = _xor_rows(rows, accepting, rows, accepting, (p, q))
-        merged, target = bisect_left(alive, p), bisect_left(alive, q)
-        steps.append((merged, target))
         trace.append(
             MergeRecord(
-                merged=merged,
-                target=target,
+                merged=bisect_left(alive, p),
+                target=bisect_left(alive, q),
                 class_id=bisect_left(alive, members[class_of[p]][0]),
                 # p is in the finite part, so every state reaching it is acyclic;
                 # a closure over the predecessor sets collects those states
                 n_into=_count_words(rows, start, set(_forward_closure(preds, (p,))), {p}),
                 n_diff=_count_words(pair_rows, 0, states_reaching(pair_rows, differ), differ),
-                _replay=replay,
-                _step=len(trace),
             )
         )
         for s in preds[p]:

@@ -32,7 +32,9 @@ recomputes the parts and ~ classes of the current machine before every merge
 instead of carrying those of the minimized input through the merges, and
 merges by ``merge_by_renumbering``, which deletes the merged state and
 renumbers the rest before trimming, instead of redirecting the edges into it
-and letting one trim drop it.
+and letting one trim drop it.  ``replay_merges`` rebuilds the machines
+between the merges of an ``f_minimize`` trace, which holds ids and counts
+only, through the checked ``f_merge``.
 ``random_dfa_by_lcg`` draws each random machine through the method calls of
 an ``Lcg`` object instead of one local-variable loop per batch of draws.
 ``construct_pair_by_prefixes`` numbers the construction's states through a
@@ -64,6 +66,7 @@ from fdfa.core import (
     states_reaching,
     trim,
 )
+from fdfa.fmin import f_merge
 from fdfa.formats import DfaFormatError, TrimWarning, _parse_int
 from fdfa.iso import INFINITE_PART, StateBijection, verify_bijection
 from fdfa.language import (
@@ -580,6 +583,15 @@ def f_minimize_by_recomputation(d: Dfa, *, order: str = "canonical") -> tuple[Df
     if not is_minimized(m):
         raise AssertionError("f-minimization fixpoint is not minimized; this is a bug")
     return m, tuple(trace)
+
+
+def replay_merges(d: Dfa, records) -> list[Dfa]:
+    """The machines of an ``f_minimize(d)`` trace: ``minimize(d)``, then one
+    machine after each record's merge, each step checked by ``f_merge``."""
+    machines = [minimize(d)]
+    for r in records:
+        machines.append(f_merge(machines[-1], r.merged, r.target))
+    return machines
 
 
 class Lcg:

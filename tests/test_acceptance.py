@@ -13,6 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from fdfa.construct import construct_pair
+from fdfa.core import induce
 from fdfa.fmin import (
     FMergeError,
     f_minimize,
@@ -24,7 +25,7 @@ from fdfa.formats import parse_dfa, serialize_dfa
 from fdfa.iso import finite_part_iso, infinite_part_iso, verify_bijection
 from fdfa.language import symmetric_difference
 from fdfa.minimize import is_minimized, minimize
-from fdfa.parts import compute_parts
+from fdfa.parts import compute_parts, words_reaching
 from fdfa.rand import random_dfa
 
 import machines as fixtures
@@ -33,6 +34,7 @@ from reference import (
     Lcg,
     compute_parts_by_counting,
     dfas_finitely_different,
+    replay_merges,
     signature_equal,
     states_finitely_different,
     states_finitely_different_by_shape,
@@ -129,10 +131,13 @@ def test_criterion_5_merge_diff_bound(suite3):
         merges_audited = 0
         for d in suite3:
             _, records = f_minimize(d)
-            for r in records:
-                bound = r.before.n_states * r.after.n_states + 2
-                realized = set(oracle_diff(r.before, r.after, bound))
-                xz = {x + z for x in r.words_into_merged for z in r.class_diff_words}
+            machines = replay_merges(d, records)
+            for r, before, after in zip(records, machines, machines[1:]):
+                bound = before.n_states * after.n_states + 2
+                realized = set(oracle_diff(before, after, bound))
+                into = words_reaching(before, r.merged)
+                diff = symmetric_difference(induce(before, r.merged), induce(before, r.target)).words
+                xz = {x + z for x in into for z in diff}
                 assert realized <= xz, (d, r)
                 assert len(realized) <= r.bound, (d, r)
                 merges_audited += 1

@@ -22,6 +22,7 @@ from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
 from conftest import dfas
+from reference import replay_merges
 
 
 # each call names a state of 1·0* (states 0..2; 0 is its finite part, and 0
@@ -195,8 +196,7 @@ def derived_machines(d):
     yield minimize_with_map(d)[0]
     smallest, trace = f_minimize(d)
     yield smallest
-    for record in trace:
-        yield record.after
+    yield from replay_merges(d, trace)[1:]
     for q in d.states:
         yield induce(d, q)
         yield product_xor(d, induce(d, q)).dfa

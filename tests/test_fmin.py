@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from pathlib import Path
@@ -9,10 +10,10 @@ import fdfa.classes
 import fdfa.core
 import fdfa.fmin
 from fdfa.classes import state_class_partition
-from fdfa.core import Dfa, disjoint_union
+from fdfa.core import Dfa, disjoint_union, induce
 from fdfa.fmin import (
     FMergeError,
-    _merge,
+    MergeRecord,
     f_merge,
     f_minimize,
     flip_finite_acceptance,
@@ -22,7 +23,7 @@ from fdfa.fmin import (
 from fdfa.formats import parse_dfa
 from fdfa.language import symmetric_difference
 from fdfa.minimize import is_minimized, minimize, moore_blocks
-from fdfa.parts import compute_parts
+from fdfa.parts import compute_parts, words_reaching
 
 import machines as fixtures
 from conftest import acyclic_prefix_table, count_calls, dfas, sigma_upto, trie_on_kernel
@@ -30,6 +31,7 @@ from reference import (
     dfas_finitely_different,
     f_minimize_by_recomputation,
     merge_by_renumbering,
+    replay_merges,
     states_finitely_different,
 )
 
@@ -38,6 +40,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def zero_machine():
     return fixtures.finite_language_dfa(["0"])
+
+
+def listed_merge_words(before, r):
+    """X and Z of a merge record, listed from the machine current at its merge."""
+    return (tuple(words_reaching(before, r.merged)),
+            symmetric_difference(induce(before, r.merged), induce(before, r.target)).words)
 
 
 def test_f_merge_rewires_and_trims():
@@ -65,8 +73,7 @@ def test_f_minimize_sigplus_trace():
     assert len(records) == 1
     r = records[0]
     assert (r.merged, r.target, r.class_id) == (0, 1, 0)
-    assert r.words_into_merged == ("",)
-    assert r.class_diff_words == ("",)
+    assert listed_merge_words(minimize(fixtures.sigplus()), r) == (("",), ("",))
     assert r.bound == 1
 
 
@@ -75,9 +82,7 @@ def test_f_minimize_zero_machine_needs_two_merges():
     assert out.n_states == 1
     assert not out.accepting
     assert [(r.merged, r.target) for r in records] == [(1, 2), (0, 1)]
-    first = records[0]
-    assert first.words_into_merged == ("0",)
-    assert first.class_diff_words == ("",)
+    assert listed_merge_words(minimize(zero_machine()), records[0]) == (("0",), ("",))
 
 
 def test_f_minimize_reversed_reaches_same_size():
@@ -206,8 +211,9 @@ def test_f_minimize_properties(d):
     assert dfas_finitely_different(d, out)[0]
     rev, _ = f_minimize(d, order="reversed")
     assert rev.n_states == out.n_states
-    for r in records:
-        realized = symmetric_difference(r.before, r.after)
+    machines = replay_merges(d, records)
+    for r, before, after in zip(records, machines, machines[1:]):
+        realized = symmetric_difference(before, after)
         assert realized.finite
         assert len(realized.words) <= r.bound
 
@@ -217,19 +223,19 @@ def test_f_minimize_properties(d):
 def test_merge_records_replay_their_machines_without_a_reference_cycle(d):
     out, records = f_minimize(d)
     assert len(records) > 1
-    # read out of order: the last record replays every merge before it
-    for r in reversed(records):
-        assert r.after == f_merge(r.before, r.merged, r.target)
-    assert records[0].before == minimize(d)
-    assert records[-1].after == out
-    for r, s in zip(records, records[1:]):
-        assert r.after is s.before
+    assert [f.name for f in dataclasses.fields(MergeRecord)] == [
+        "merged", "target", "class_id", "n_into", "n_diff"]
+    # each step of the replay is checked as an f-merge, and the last one
+    # lands on the machine f_minimize returned
+    machines = replay_merges(d, records)
+    assert machines[0] == minimize(d)
+    assert machines[-1] == out
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        del r, s, records
-        # the records and their shared replay are freed by reference counting
+        del records, machines
+        # the records and the replayed machines are freed by reference counting
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -239,7 +245,7 @@ def test_merge_records_replay_their_machines_without_a_reference_cycle(d):
 def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     import fdfa.language
 
-    # the one word lister, behind words_into_merged and class_diff_words
+    # the one word lister, behind words_reaching and symmetric_difference(...).words
     calls = count_calls(monkeypatch, fdfa.language._list_text)
 
     out, records = f_minimize(sigma_upto(12))
@@ -248,9 +254,11 @@ def test_f_minimize_counts_bounds_without_listing_words(monkeypatch):
     assert (records[0].merged, records[0].target) == (12, 13)
     assert (records[0].n_into, records[0].n_diff) == (2 ** 12, 1)
     assert records[0].bound == 2 ** 12
-    # the word lists are still there on request
-    assert len(records[0].words_into_merged) == 2 ** 12
-    assert records[0].class_diff_words == ("",)
+    # X and Z, listed from the minimized machine, have the counted sizes
+    into, diff = listed_merge_words(minimize(sigma_upto(12)), records[0])
+    assert (len(into), len(diff)) == (records[0].n_into, records[0].n_diff)
+    assert len(into) == 2 ** 12
+    assert diff == ("",)
     assert len(calls) == 2
 
 
@@ -262,7 +270,7 @@ def test_merge_by_trimming_matches_the_renumbering_on_suite3(suite3):
             for p in finite.intersection(cls):
                 for q in cls:
                     if q != p:
-                        assert _merge(d, p, q) == merge_by_renumbering(d, p, q), (d, p, q)
+                        assert f_merge(d, p, q) == merge_by_renumbering(d, p, q), (d, p, q)
                         merges += 1
     assert merges > 1000
 
@@ -273,10 +281,11 @@ def assert_minimizes_like_the_recomputation(d):
         ref_out, ref_records = f_minimize_by_recomputation(d, order=order)
         assert out == ref_out
         assert len(records) == len(ref_records)
-        for r, ref in zip(records, ref_records):
+        machines = replay_merges(d, records)
+        for r, ref, before, after in zip(records, ref_records, machines, machines[1:]):
             assert (r.merged, r.target, r.class_id, r.n_into, r.n_diff) == (
                 ref.merged, ref.target, ref.class_id, ref.n_into, ref.n_diff)
-            assert (r.before, r.after) == (ref.before, ref.after)
+            assert (before, after) == (ref.before, ref.after)
 
 
 def test_f_minimize_matches_the_recomputation_on_suite3(suite3):
@@ -382,7 +391,7 @@ def test_f_minimize_stays_within_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert len(records) == 201
-    # the records hold no machine until one is read
+    # the records hold ids and counts, and no machine
     assert peak < 1 << 20
 
 
